@@ -2,8 +2,10 @@
 
 ``python -m repro.bench.counter_ops`` runs the counter-ops ops/sec series
 and records ``BENCH_counter_ops.json`` (see :mod:`repro.bench.counter_ops`);
-``python -m repro.bench.load_ops`` runs the quota-service load series and
-records ``BENCH_load_ops.json`` (see :mod:`repro.bench.load_ops`).
+``python -m repro.bench.dist_ops`` and ``python -m repro.bench.load_ops`` do
+the same for the cross-process fabric and the quota service.  All three
+share one result-entry shape, regression gate, history writer and CLI:
+:mod:`repro.bench.runner`.
 """
 
 from repro.bench.tables import Table

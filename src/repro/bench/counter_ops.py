@@ -40,29 +40,22 @@ Every run *appends* one line to ``BENCH_counter_ops.history.jsonl``
 (keyed by git SHA and timestamp) in addition to overwriting the latest
 snapshot, so speedups and regressions across PRs stay inspectable, and
 ``--compare-to BASELINE.json`` turns the run into a regression gate.
-
-Usage::
+The CLI, the entry shape and the gate are :mod:`repro.bench.runner`'s::
 
     PYTHONPATH=src python -m repro.bench.counter_ops [--quick] [--out PATH]
-        [--history PATH | --no-history] [--label TEXT] [--timestamp TS]
-        [--compare-to BASELINE.json] [--tolerance 0.3]
+        [--compare-to BASELINE.json] [--gate SERIES=TOL] ...
 
 ``--quick`` shrinks every size so a CI smoke run finishes in seconds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import subprocess
-import sys
 import threading
-import time
 from typing import Callable
 
-from repro.bench.hostmeta import host_metadata
-from repro.bench.tables import Table
-from repro.bench.timing import measure
+from repro.bench import runner
+from repro.bench.runner import entry, ratio
+from repro.bench.timing import Timing, measure
 from repro.bench.workloads import spread_waiters
 from repro.core import (
     SPIN_THEN_PARK,
@@ -72,9 +65,7 @@ from repro.core import (
     ShardedCounter,
 )
 
-__all__ = ["run_counter_ops", "compare", "main"]
-
-SCHEMA = 2
+__all__ = ["run_counter_ops", "render", "main"]
 
 #: The counter configurations every series is run against.  ``linked`` is
 #: the optimized default (park-only under the GIL, spin-then-park on
@@ -138,11 +129,7 @@ def _sizes(quick: bool) -> dict[str, int]:
     }
 
 
-def _series_entry(ops: int, mean_s: float) -> dict[str, float]:
-    return {"ops_per_sec": ops / mean_s if mean_s else float("inf"), "mean_s": mean_s}
-
-
-def _bench_immediate_check(factory: Callable[[], object], ops: int, repeats: int) -> float:
+def _bench_immediate_check(factory: Callable[[], object], ops: int, repeats: int) -> Timing:
     counter = factory()
     counter.increment(1)
     if hasattr(counter, "flush"):
@@ -154,10 +141,10 @@ def _bench_immediate_check(factory: Callable[[], object], ops: int, repeats: int
         for _ in r:
             check(1)
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
-def _bench_uncontended_increment(factory: Callable[[], object], ops: int, repeats: int) -> float:
+def _bench_uncontended_increment(factory: Callable[[], object], ops: int, repeats: int) -> Timing:
     r = range(ops)
 
     def run() -> None:
@@ -167,12 +154,12 @@ def _bench_uncontended_increment(factory: Callable[[], object], ops: int, repeat
         for _ in r:
             increment(1)
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
 def _bench_contended_increment(
     factory: Callable[[], object], threads: int, ops_per_thread: int, repeats: int
-) -> float:
+) -> Timing:
     r = range(ops_per_thread)
 
     def run() -> None:
@@ -192,12 +179,12 @@ def _bench_contended_increment(
         for t in pool:
             t.join()
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
 def _bench_fan_in(
     factory: Callable[[], object], waiters: int, levels: int, episodes: int, repeats: int
-) -> float:
+) -> Timing:
     return measure(
         lambda: spread_waiters(
             factory(),
@@ -208,10 +195,10 @@ def _bench_fan_in(
         ),
         repeats=repeats,
         warmup=1,
-    ).mean
+    )
 
 
-def _bench_handoff(factory: Callable[[], object], roundtrips: int, repeats: int) -> float:
+def _bench_handoff(factory: Callable[[], object], roundtrips: int, repeats: int) -> Timing:
     """Strict ping-pong over two counters.
 
     Each side increments its own counter and then checks the other's at
@@ -239,12 +226,12 @@ def _bench_handoff(factory: Callable[[], object], roundtrips: int, repeats: int)
             pong.check(i)
         thread.join()
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
 def _bench_multiwait(
     n_counters: int, rounds: int, repeats: int, *, subscription: bool
-) -> float:
+) -> Timing:
     """One consumer joining N producers every round.
 
     Producers are flow-controlled by a ``done`` counter (each blocks
@@ -282,24 +269,24 @@ def _bench_multiwait(
         for thread in pool:
             thread.join()
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
 def run_counter_ops(*, quick: bool = False) -> dict:
     """Run every series and return the JSON-ready result document."""
     sizes = _sizes(quick)
     repeats = sizes["repeats"]
-    series: dict[str, dict[str, dict[str, float]]] = {}
+    series: dict[str, dict[str, dict]] = {}
 
     series["immediate_check"] = {
-        name: _series_entry(
+        name: entry(
             sizes["check_ops"],
             _bench_immediate_check(factory, sizes["check_ops"], repeats),
         )
         for name, factory in FACTORIES.items()
     }
     series["uncontended_increment"] = {
-        name: _series_entry(
+        name: entry(
             sizes["increment_ops"],
             _bench_uncontended_increment(factory, sizes["increment_ops"], repeats),
         )
@@ -307,7 +294,7 @@ def run_counter_ops(*, quick: bool = False) -> dict:
     }
     total_contended = sizes["contended_threads"] * sizes["contended_ops_per_thread"]
     series["contended_increment"] = {
-        name: _series_entry(
+        name: entry(
             total_contended,
             _bench_contended_increment(
                 FACTORIES[name],
@@ -320,7 +307,7 @@ def run_counter_ops(*, quick: bool = False) -> dict:
     }
     fan_in_ops = sizes["fan_in_waiters"] * sizes["fan_in_episodes"]
     series["fan_in_wakeup"] = {
-        name: _series_entry(
+        name: entry(
             fan_in_ops,
             _bench_fan_in(
                 FACTORIES[name],
@@ -333,7 +320,7 @@ def run_counter_ops(*, quick: bool = False) -> dict:
         for name in FAN_IN
     }
     series["handoff_pingpong"] = {
-        name: _series_entry(
+        name: entry(
             sizes["handoff_roundtrips"],
             _bench_handoff(FACTORIES[name], sizes["handoff_roundtrips"], repeats),
         )
@@ -341,7 +328,7 @@ def run_counter_ops(*, quick: bool = False) -> dict:
     }
     multiwait_ops = sizes["multiwait_counters"] * sizes["multiwait_rounds"]
     series["multiwait_join"] = {
-        variant: _series_entry(
+        variant: entry(
             multiwait_ops,
             _bench_multiwait(
                 sizes["multiwait_counters"],
@@ -364,273 +351,93 @@ def run_counter_ops(*, quick: bool = False) -> dict:
 
     obs.disable()  # belt and braces: never inherit ambient enablement
     series["obs_overhead"] = {
-        "immediate_disabled": _series_entry(
+        "immediate_disabled": entry(
             sizes["check_ops"],
             _bench_immediate_check(FACTORIES["linked"], sizes["check_ops"], repeats),
         ),
-        "handoff_disabled": _series_entry(
+        "handoff_disabled": entry(
             sizes["handoff_roundtrips"],
             _bench_handoff(FACTORIES["linked"], sizes["handoff_roundtrips"], repeats),
         ),
     }
     obs.enable()
     try:
-        series["obs_overhead"]["immediate_enabled"] = _series_entry(
+        series["obs_overhead"]["immediate_enabled"] = entry(
             sizes["check_ops"],
             _bench_immediate_check(FACTORIES["linked"], sizes["check_ops"], repeats),
         )
-        series["obs_overhead"]["handoff_enabled"] = _series_entry(
+        series["obs_overhead"]["handoff_enabled"] = entry(
             sizes["handoff_roundtrips"],
             _bench_handoff(FACTORIES["linked"], sizes["handoff_roundtrips"], repeats),
         )
     finally:
         obs.disable()
 
-    fast = series["immediate_check"]["linked"]["ops_per_sec"]
-    locked = series["immediate_check"]["linked_locked"]["ops_per_sec"]
-    spin = series["handoff_pingpong"]["linked_spin"]["ops_per_sec"]
-    default = series["handoff_pingpong"]["linked"]["ops_per_sec"]
-    subscription = series["multiwait_join"]["subscription"]["ops_per_sec"]
-    sequential = series["multiwait_join"]["sequential"]["ops_per_sec"]
-    obs_series = series["obs_overhead"]
-    imm_off = obs_series["immediate_disabled"]["ops_per_sec"]
-    imm_on = obs_series["immediate_enabled"]["ops_per_sec"]
-    hand_off = obs_series["handoff_disabled"]["ops_per_sec"]
-    hand_on = obs_series["handoff_enabled"]["ops_per_sec"]
-    return {
-        "bench": "counter_ops",
-        "schema": SCHEMA,
-        "quick": quick,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        **host_metadata(),
-        "config": sizes,
-        "series": series,
-        "derived": {
-            "immediate_check_fast_path_speedup": fast / locked if locked else float("inf"),
+    def ops(series_name: str, impl: str) -> float:
+        return series[series_name][impl]["ops_per_sec"]
+
+    return runner.document(
+        "counter_ops",
+        quick=quick,
+        config=sizes,
+        series=series,
+        derived={
+            "immediate_check_fast_path_speedup": ratio(
+                ops("immediate_check", "linked"), ops("immediate_check", "linked_locked")
+            ),
             # ≈ 1 on serial hosts (SPIN_THEN_PARK's budget degrades to
             # zero there — see WaitPolicy.park_on_serial_hosts), > 1
             # expected on free-threaded multi-CPU hosts.
-            "handoff_spin_vs_default": spin / default if default else float("inf"),
+            "handoff_spin_vs_default": ratio(
+                ops("handoff_pingpong", "linked_spin"), ops("handoff_pingpong", "linked")
+            ),
             # < 1 in this one-shot-join shape (see module docstring) —
             # the reason check_all stays sequential.
-            "multiwait_subscription_vs_sequential": (
-                subscription / sequential if sequential else float("inf")
+            "multiwait_subscription_vs_sequential": ratio(
+                ops("multiwait_join", "subscription"), ops("multiwait_join", "sequential")
             ),
             # ~1.0 by construction (no hook on the lock-free fast path);
             # the CI gate pins the disabled series itself against the
             # merge-base at 2%.
-            "obs_immediate_enabled_vs_disabled": imm_on / imm_off if imm_off else float("inf"),
+            "obs_immediate_enabled_vs_disabled": ratio(
+                ops("obs_overhead", "immediate_enabled"),
+                ops("obs_overhead", "immediate_disabled"),
+            ),
             # < 1.0: the honest enabled tax on the park/wake path (events
             # + histogram bumps per suspension).
-            "obs_handoff_enabled_vs_disabled": hand_on / hand_off if hand_off else float("inf"),
+            "obs_handoff_enabled_vs_disabled": ratio(
+                ops("obs_overhead", "handoff_enabled"),
+                ops("obs_overhead", "handoff_disabled"),
+            ),
         },
-    }
+    )
 
 
-def git_describe() -> dict[str, object]:
-    """Current commit SHA (with a ``-dirty`` marker) for the history key.
-
-    Best-effort: outside a git checkout both fields degrade gracefully.
-    """
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True, timeout=10,
-        ).stdout.strip()
-        dirty = bool(
-            subprocess.run(
-                ["git", "status", "--porcelain"],
-                capture_output=True, text=True, check=True, timeout=10,
-            ).stdout.strip()
-        )
-    except (OSError, subprocess.SubprocessError):
-        return {"sha": None, "dirty": None}
-    return {"sha": sha, "dirty": dirty}
-
-
-def append_history(doc: dict, path: str, *, label: str | None = None) -> dict:
-    """Append one trajectory point for ``doc`` to the JSONL file at ``path``.
-
-    The entry carries the full result document plus the git SHA it was
-    produced at, so ``grep sha BENCH_counter_ops.history.jsonl`` (or any
-    JSONL tooling) can reconstruct the per-PR perf trajectory.
-    """
-    entry = dict(git_describe())
-    if label:
-        entry["label"] = label
-    entry.update(doc)
-    with open(path, "a", encoding="utf-8") as fh:
-        json.dump(entry, fh, sort_keys=True)
-        fh.write("\n")
-    return entry
-
-
-def compare(
-    doc: dict,
-    baseline: dict,
-    *,
-    tolerance: float = 0.3,
-    overrides: dict[str, float] | None = None,
-) -> list[str]:
-    """Regression-gate ``doc`` against ``baseline``; return failure messages.
-
-    Checks every implementation of every series in :data:`GATED_SERIES`
-    that both documents carry: new ops/sec below ``(1 - tolerance)`` of
-    the baseline's is a regression.  ``overrides`` maps a series name to
-    its own tolerance — how CI pins ``immediate_check`` (the disabled
-    fast path the observability layer must not tax) at 2% while the
-    noisier blocking series keep the default.  Raises
-    :class:`ValueError` when the documents are not comparable (different
-    sizes or quick flags — a faster run with smaller sizes is not a
-    speedup).
-    """
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    overrides = overrides or {}
-    for series_name, value in overrides.items():
-        if not 0 <= value < 1:
-            raise ValueError(f"tolerance for {series_name} must be in [0, 1), got {value}")
-    for key in ("bench", "quick", "config"):
-        if doc.get(key) != baseline.get(key):
-            raise ValueError(
-                f"result and baseline are not comparable: {key} differs "
-                f"({doc.get(key)!r} vs {baseline.get(key)!r})"
-            )
-    failures = []
-    for series_name in GATED_SERIES:
-        new_series = doc.get("series", {}).get(series_name, {})
-        old_series = baseline.get("series", {}).get(series_name, {})
-        series_tolerance = overrides.get(series_name, tolerance)
-        for impl in sorted(set(new_series) & set(old_series)):
-            new_ops = new_series[impl]["ops_per_sec"]
-            old_ops = old_series[impl]["ops_per_sec"]
-            floor = old_ops * (1.0 - series_tolerance)
-            if new_ops < floor:
-                failures.append(
-                    f"{series_name}/{impl}: {new_ops:,.0f} ops/s is "
-                    f"{1 - new_ops / old_ops:.0%} below baseline "
-                    f"{old_ops:,.0f} (tolerance {series_tolerance:.0%})"
-                )
-    return failures
-
-
-def render(doc: dict) -> str:
-    """A human-readable summary of one result document."""
-    lines = []
-    for series_name, entries in doc["series"].items():
-        table = Table(
-            f"counter_ops/{series_name} (ops/sec)",
-            ["implementation", "ops/sec", "mean s"],
-        )
-        for impl, entry in entries.items():
-            table.add_row(impl, entry["ops_per_sec"], entry["mean_s"])
-        lines.append(table.render())
-    speedup = doc["derived"]["immediate_check_fast_path_speedup"]
-    lines.append(f"immediate-check fast path vs locked seed path: {speedup:.2f}x")
-    spin = doc["derived"].get("handoff_spin_vs_default")
-    if spin is not None:
-        lines.append(f"handoff spin-then-park vs default policy: {spin:.2f}x")
-    join = doc["derived"].get("multiwait_subscription_vs_sequential")
-    if join is not None:
-        lines.append(f"multiwait subscription vs sequential join: {join:.2f}x")
-    obs_imm = doc["derived"].get("obs_immediate_enabled_vs_disabled")
-    if obs_imm is not None:
-        lines.append(f"obs enabled vs disabled, immediate check: {obs_imm:.2f}x")
-    obs_hand = doc["derived"].get("obs_handoff_enabled_vs_disabled")
-    if obs_hand is not None:
-        lines.append(f"obs enabled vs disabled, handoff ping-pong: {obs_hand:.2f}x")
-    return "\n\n".join(lines)
+def render(doc: dict) -> list[str]:
+    """The derived-ratio lines printed under the series tables."""
+    derived = doc["derived"]
+    return [
+        "immediate-check fast path vs locked seed path: "
+        f"{derived['immediate_check_fast_path_speedup']:.2f}x",
+        f"handoff spin-then-park vs default policy: {derived['handoff_spin_vs_default']:.2f}x",
+        "multiwait subscription vs sequential join: "
+        f"{derived['multiwait_subscription_vs_sequential']:.2f}x",
+        "obs enabled vs disabled, immediate check: "
+        f"{derived['obs_immediate_enabled_vs_disabled']:.2f}x",
+        "obs enabled vs disabled, handoff ping-pong: "
+        f"{derived['obs_handoff_enabled_vs_disabled']:.2f}x",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.counter_ops", description=__doc__.splitlines()[0]
+    return runner.main(
+        argv,
+        bench="counter_ops",
+        run=run_counter_ops,
+        render=render,
+        gated=GATED_SERIES,
+        description=__doc__.splitlines()[0],
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="tiny sizes for a CI smoke run"
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_counter_ops.json",
-        help="where to write the JSON log (default: ./BENCH_counter_ops.json)",
-    )
-    parser.add_argument(
-        "--history",
-        default="BENCH_counter_ops.history.jsonl",
-        help="JSONL trajectory to append to (default: ./BENCH_counter_ops.history.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true", help="skip the trajectory append"
-    )
-    parser.add_argument(
-        "--label", default=None, help="free-form tag recorded in the history entry"
-    )
-    parser.add_argument(
-        "--timestamp",
-        default=None,
-        help="override the recorded timestamp (e.g. to key a re-run to its PR)",
-    )
-    parser.add_argument(
-        "--compare-to",
-        default=None,
-        metavar="BASELINE.json",
-        help="regression-gate the run against a committed baseline snapshot",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.3,
-        help="allowed fractional ops/sec drop for --compare-to (default 0.3)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="append",
-        default=[],
-        metavar="SERIES=TOL",
-        help="per-series tolerance override for --compare-to, e.g. "
-        "immediate_check=0.02 (repeatable)",
-    )
-    args = parser.parse_args(argv)
-    overrides: dict[str, float] = {}
-    for spec in args.gate:
-        series_name, sep, value = spec.partition("=")
-        if not sep or not series_name:
-            parser.error(f"--gate expects SERIES=TOL, got {spec!r}")
-        try:
-            overrides[series_name] = float(value)
-        except ValueError:
-            parser.error(f"--gate tolerance must be a float, got {spec!r}")
-    doc = run_counter_ops(quick=args.quick)
-    if args.timestamp is not None:
-        doc["timestamp"] = args.timestamp
-    print(render(doc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {args.out}")
-    if not args.no_history:
-        append_history(doc, args.history, label=args.label)
-        print(f"appended trajectory point to {args.history}")
-    if args.compare_to is not None:
-        with open(args.compare_to, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        try:
-            failures = compare(
-                doc, baseline, tolerance=args.tolerance, overrides=overrides
-            )
-        except ValueError as exc:
-            # An incomparable baseline (the run legitimately changed the
-            # bench config/sizes) is not a regression — report and skip
-            # the gate rather than failing on it.
-            print(f"regression gate skipped: {exc}", file=sys.stderr)
-            return 0
-        if failures:
-            print(f"\nREGRESSION vs {args.compare_to}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.compare_to} (tolerance {args.tolerance:.0%})")
-    return 0
 
 
 if __name__ == "__main__":

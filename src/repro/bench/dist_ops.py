@@ -39,35 +39,31 @@ measures both sides of each in the same run on the same host:
     honest number, not a promise.
 
 Results land in ``BENCH_dist_ops.json`` (latest) and
-``BENCH_dist_ops.history.jsonl`` (per-SHA trajectory), same layout and
-CLI as :mod:`repro.bench.counter_ops`; ``--quick`` shrinks sizes for
-the CI smoke run.
+``BENCH_dist_ops.history.jsonl`` (per-SHA trajectory) through the CLI of
+:mod:`repro.bench.runner`; ``--quick`` shrinks sizes for the CI smoke
+run.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import multiprocessing
-import sys
 import time
 
-from repro.bench.counter_ops import append_history, git_describe
-from repro.bench.hostmeta import host_metadata
-from repro.bench.tables import Table
+from repro.bench import runner
+from repro.bench.runner import entry, ratio
 from repro.bench.timing import Timing, measure
 from repro.dist.client import AsyncCounterClient
 from repro.dist.service import CounterService
 from repro.dist.shm import ShmCounter
 
-__all__ = ["run_dist_ops", "compare", "main"]
+__all__ = ["run_dist_ops", "render", "main"]
 
-SCHEMA = 1
-
-#: Series whose ops/sec are regression-gated by :func:`compare`.
-#: ``dist_obs_enabled`` is deliberately absent: the enabled-mode tax is
-#: reported, only the disabled path is a contract.
+#: Series whose ops/sec are regression-gated by
+#: :func:`repro.bench.runner.compare`.  ``dist_obs_enabled`` is
+#: deliberately absent: the enabled-mode tax is reported, only the
+#: disabled path is a contract.  ``shm_increment_scaling`` is reported
+#: too: multi-process wall time on shared CI runners is too noisy to pin.
 GATED_SERIES = ("shm_readonly_check", "service_pipeline", "dist_obs_disabled")
 
 _SIZES = {
@@ -89,28 +85,11 @@ _QUICK_SIZES = {
     "pipelined_ops": 2_000,
     "rpc_ops": 50,
     # Samples at quick sizes are sub-millisecond, so the gated series
-    # (min-based, see _entry) need enough repeats that at least one
+    # (min-based, see runner.entry) need enough repeats that at least one
     # sample dodges shared-runner interference.
     "repeats": 5,
     "flush_interval": 0.001,
 }
-
-
-def _entry(timing: Timing, ops: int, *, stat: str = "mean") -> dict:
-    # ``stat="min"`` bases ops/sec on the best sample instead of the
-    # mean: interference on a shared host only ever ADDS time, so for
-    # sub-millisecond samples (the obs on/off pairs at quick sizes) the
-    # min is the honest estimate and the mean is hostage to one stolen
-    # quantum.  The full sample list is kept either way.
-    basis = timing.minimum if stat == "min" else timing.mean
-    return {
-        "ops": ops,
-        "ops_per_sec": ops / basis if basis else float("inf"),
-        "mean_s": timing.mean,
-        "min_s": timing.minimum,
-        "stdev_s": timing.stdev,
-        "samples": list(timing.samples),
-    }
 
 
 # --------------------------------------------------------- shm read-only scan
@@ -145,8 +124,8 @@ def _bench_shm_check(sizes: dict) -> dict:
 
     # Gated series (see GATED_SERIES): min-based, like the obs pairs.
     return {
-        "shm": _entry(shm_timing, sizes["check_ops"], stat="min"),
-        "manager_proxy": _entry(manager_timing, manager_ops, stat="min"),
+        "shm": entry(sizes["check_ops"], shm_timing, stat="min"),
+        "manager_proxy": entry(manager_ops, manager_timing, stat="min"),
     }
 
 
@@ -189,9 +168,7 @@ def _bench_shm_scaling(sizes: dict) -> dict:
                         raise RuntimeError(
                             f"scaling worker exited {worker.exitcode}"
                         )
-        series[f"{nprocs}proc"] = _entry(
-            Timing(samples=tuple(samples)), nprocs * per_proc
-        )
+        series[f"{nprocs}proc"] = entry(nprocs * per_proc, Timing(tuple(samples)))
     return series
 
 
@@ -234,12 +211,8 @@ def _bench_service(sizes: dict) -> dict:
     pipelined, rpc = asyncio.run(_service_samples(sizes))
     # Gated series (see GATED_SERIES): min-based, like the obs pairs.
     return {
-        "pipelined": _entry(
-            Timing(samples=tuple(pipelined)), sizes["pipelined_ops"], stat="min"
-        ),
-        "per_increment_rpc": _entry(
-            Timing(samples=tuple(rpc)), sizes["rpc_ops"], stat="min"
-        ),
+        "pipelined": entry(sizes["pipelined_ops"], Timing(tuple(pipelined)), stat="min"),
+        "per_increment_rpc": entry(sizes["rpc_ops"], Timing(tuple(rpc)), stat="min"),
     }
 
 
@@ -328,20 +301,12 @@ def _bench_obs_overhead(sizes: dict) -> tuple[dict, dict]:
     shm_off, shm_on = _paired_shm_samples(sizes)
     pipe_off, pipe_on = asyncio.run(_paired_pipelined_samples(sizes))
     disabled = {
-        "shm_check": _entry(
-            Timing(samples=tuple(shm_off)), sizes["check_ops"], stat="min"
-        ),
-        "pipelined_inc": _entry(
-            Timing(samples=tuple(pipe_off)), sizes["pipelined_ops"], stat="min"
-        ),
+        "shm_check": entry(sizes["check_ops"], Timing(tuple(shm_off)), stat="min"),
+        "pipelined_inc": entry(sizes["pipelined_ops"], Timing(tuple(pipe_off)), stat="min"),
     }
     enabled = {
-        "shm_check": _entry(
-            Timing(samples=tuple(shm_on)), sizes["check_ops"], stat="min"
-        ),
-        "pipelined_inc": _entry(
-            Timing(samples=tuple(pipe_on)), sizes["pipelined_ops"], stat="min"
-        ),
+        "shm_check": entry(sizes["check_ops"], Timing(tuple(shm_on)), stat="min"),
+        "pipelined_inc": entry(sizes["pipelined_ops"], Timing(tuple(pipe_on)), stat="min"),
     }
     return disabled, enabled
 
@@ -365,199 +330,69 @@ def run_dist_ops(*, quick: bool = False) -> dict:
     scaling = series["shm_increment_scaling"]
     one_proc = scaling.get("1proc", {}).get("ops_per_sec", 0.0)
     sizes["process_counts"] = list(sizes["process_counts"])  # JSON-friendly
-    return {
-        "bench": "dist_ops",
-        "schema": SCHEMA,
-        "quick": quick,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        **host_metadata(),
-        "config": sizes,
-        "series": series,
-        "derived": {
+    return runner.document(
+        "dist_ops",
+        quick=quick,
+        config=sizes,
+        series=series,
+        derived={
             # The acceptance bars of ROADMAP item 1: >=10x and >=5x.
-            "shm_check_vs_manager_proxy": (
-                check["shm"]["ops_per_sec"] / check["manager_proxy"]["ops_per_sec"]
-                if check["manager_proxy"]["ops_per_sec"] else float("inf")
+            "shm_check_vs_manager_proxy": ratio(
+                check["shm"]["ops_per_sec"], check["manager_proxy"]["ops_per_sec"]
             ),
-            "pipelined_vs_rpc": (
-                pipeline["pipelined"]["ops_per_sec"]
-                / pipeline["per_increment_rpc"]["ops_per_sec"]
-                if pipeline["per_increment_rpc"]["ops_per_sec"] else float("inf")
+            "pipelined_vs_rpc": ratio(
+                pipeline["pipelined"]["ops_per_sec"],
+                pipeline["per_increment_rpc"]["ops_per_sec"],
             ),
             "scaling_efficiency": {
-                name: (entry["ops_per_sec"] / one_proc if one_proc else float("inf"))
-                for name, entry in scaling.items()
+                name: ratio(result["ops_per_sec"], one_proc)
+                for name, result in scaling.items()
             },
             # Enabled-mode slowdown per dist hot path (1.0 = free).
             # Reported, never gated — only the disabled path is a
             # contract (see GATED_SERIES).  Both entries are min-based
-            # (see _entry), so the ratio compares best-case against
+            # (see runner.entry), so the ratio compares best-case against
             # best-case and shared-host interference cancels out.
             "obs_enabled_tax": {
-                impl: (
-                    obs_disabled[impl]["ops_per_sec"]
-                    / obs_enabled[impl]["ops_per_sec"]
-                    if obs_enabled[impl]["ops_per_sec"] else float("inf")
+                impl: ratio(
+                    obs_disabled[impl]["ops_per_sec"], obs_enabled[impl]["ops_per_sec"]
                 )
                 for impl in obs_disabled
             },
         },
-    }
+    )
 
 
-def compare(
-    doc: dict,
-    baseline: dict,
-    *,
-    tolerance: float = 0.3,
-    overrides: dict[str, float] | None = None,
-) -> list[str]:
-    """Regression-gate ``doc`` against ``baseline``; return failure messages.
-
-    Same contract as :func:`repro.bench.counter_ops.compare`, gating
-    :data:`GATED_SERIES`.  The scaling series is reported but not gated
-    (multi-process wall time on shared CI runners is too noisy to pin).
-    """
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    overrides = overrides or {}
-    for series_name, value in overrides.items():
-        if not 0 <= value < 1:
-            raise ValueError(f"tolerance for {series_name} must be in [0, 1), got {value}")
-    for key in ("bench", "quick", "config"):
-        if doc.get(key) != baseline.get(key):
-            raise ValueError(
-                f"result and baseline are not comparable: {key} differs "
-                f"({doc.get(key)!r} vs {baseline.get(key)!r})"
-            )
-    failures = []
-    for series_name in GATED_SERIES:
-        new_series = doc.get("series", {}).get(series_name, {})
-        old_series = baseline.get("series", {}).get(series_name, {})
-        series_tolerance = overrides.get(series_name, tolerance)
-        for impl in sorted(set(new_series) & set(old_series)):
-            new_ops = new_series[impl]["ops_per_sec"]
-            old_ops = old_series[impl]["ops_per_sec"]
-            floor = old_ops * (1.0 - series_tolerance)
-            if new_ops < floor:
-                failures.append(
-                    f"{series_name}/{impl}: {new_ops:,.0f} ops/s is "
-                    f"{1 - new_ops / old_ops:.0%} below baseline "
-                    f"{old_ops:,.0f} (tolerance {series_tolerance:.0%})"
-                )
-    return failures
-
-
-def render(doc: dict) -> str:
-    """A human-readable summary of one result document."""
-    lines = []
-    for series_name, entries in doc["series"].items():
-        table = Table(
-            f"dist_ops/{series_name} (ops/sec)",
-            ["implementation", "ops/sec", "mean s"],
-        )
-        for impl, entry in entries.items():
-            table.add_row(impl, entry["ops_per_sec"], entry["mean_s"])
-        lines.append(table.render())
+def render(doc: dict) -> list[str]:
+    """The acceptance-ratio and tax lines printed under the series tables."""
     derived = doc["derived"]
-    lines.append(
-        f"shm read-only check vs Manager proxy: "
-        f"{derived['shm_check_vs_manager_proxy']:.1f}x (acceptance floor 10x)"
-    )
-    lines.append(
-        f"pipelined vs per-increment RPC: "
-        f"{derived['pipelined_vs_rpc']:.1f}x (acceptance floor 5x)"
-    )
     efficiency = ", ".join(
-        f"{name}={ratio:.2f}x"
-        for name, ratio in sorted(derived["scaling_efficiency"].items())
+        f"{name}={value:.2f}x"
+        for name, value in sorted(derived["scaling_efficiency"].items())
     )
-    lines.append(f"increment scaling vs 1 process: {efficiency}")
-    if "obs_enabled_tax" in derived:
-        tax = ", ".join(
-            f"{impl}={ratio:.3f}x"
-            for impl, ratio in sorted(derived["obs_enabled_tax"].items())
-        )
-        lines.append(
-            f"obs enabled-mode tax (disabled/enabled ops, reported not gated): {tax}"
-        )
-    return "\n\n".join(lines)
+    tax = ", ".join(
+        f"{impl}={value:.3f}x"
+        for impl, value in sorted(derived["obs_enabled_tax"].items())
+    )
+    return [
+        "shm read-only check vs Manager proxy: "
+        f"{derived['shm_check_vs_manager_proxy']:.1f}x (acceptance floor 10x)",
+        "pipelined vs per-increment RPC: "
+        f"{derived['pipelined_vs_rpc']:.1f}x (acceptance floor 5x)",
+        f"increment scaling vs 1 process: {efficiency}",
+        f"obs enabled-mode tax (disabled/enabled ops, reported not gated): {tax}",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.dist_ops", description=__doc__.splitlines()[0]
+    return runner.main(
+        argv,
+        bench="dist_ops",
+        run=run_dist_ops,
+        render=render,
+        gated=GATED_SERIES,
+        description=__doc__.splitlines()[0],
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="tiny sizes for a CI smoke run"
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_dist_ops.json",
-        help="where to write the JSON log (default: ./BENCH_dist_ops.json)",
-    )
-    parser.add_argument(
-        "--history",
-        default="BENCH_dist_ops.history.jsonl",
-        help="JSONL trajectory to append to (default: ./BENCH_dist_ops.history.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true", help="skip the trajectory append"
-    )
-    parser.add_argument(
-        "--label", default=None, help="free-form tag recorded in the history entry"
-    )
-    parser.add_argument(
-        "--compare-to",
-        default=None,
-        metavar="BASELINE.json",
-        help="regression-gate the run against a committed baseline snapshot",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.3,
-        help="allowed fractional ops/sec drop before --compare-to fails",
-    )
-    parser.add_argument(
-        "--gate",
-        action="append",
-        default=[],
-        metavar="SERIES=TOL",
-        help="per-series tolerance override for --compare-to (repeatable)",
-    )
-    args = parser.parse_args(argv)
-
-    doc = run_dist_ops(quick=args.quick)
-    print(render(doc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {args.out}")
-    if args.history and not args.no_history:
-        append_history(doc, args.history, label=args.label)
-        print(f"appended history entry ({git_describe()['sha']}) to {args.history}")
-
-    if args.compare_to:
-        overrides = {}
-        for item in args.gate:
-            series_name, _, tol = item.partition("=")
-            overrides[series_name] = float(tol)
-        with open(args.compare_to, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        try:
-            failures = compare(
-                doc, baseline, tolerance=args.tolerance, overrides=overrides
-            )
-        except ValueError as exc:
-            print(f"regression gate skipped: {exc}", file=sys.stderr)
-            return 0
-        if failures:
-            print(f"\nREGRESSION vs {args.compare_to}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -23,33 +23,24 @@ trajectory, mirroring :mod:`repro.bench.counter_ops`:
 Every run appends one line to ``BENCH_load_ops.history.jsonl`` (keyed by
 git SHA and timestamp) in addition to overwriting the latest snapshot,
 and ``--compare-to BASELINE.json`` turns the run into a regression gate.
-
-Usage::
+The CLI, the entry shape and the gate are :mod:`repro.bench.runner`'s::
 
     PYTHONPATH=src python -m repro.bench.load_ops [--quick] [--out PATH]
-        [--history PATH | --no-history] [--label TEXT] [--timestamp TS]
-        [--compare-to BASELINE.json] [--tolerance 0.3] [--gate SERIES=TOL]
+        [--compare-to BASELINE.json] [--gate SERIES=TOL] ...
 
 ``--quick`` shrinks every size so a CI smoke run finishes in seconds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-
 from repro.apps.ratelimit import RateLimiter
-from repro.bench.counter_ops import append_history, git_describe
-from repro.bench.hostmeta import host_metadata
+from repro.bench import runner
+from repro.bench.runner import entry, ratio
 from repro.bench.tables import Table
-from repro.bench.timing import measure
+from repro.bench.timing import Timing, measure
 from repro.obs.load import run_load
 
-__all__ = ["run_load_ops", "compare", "main"]
-
-SCHEMA = 1
+__all__ = ["run_load_ops", "render", "main"]
 
 #: Series the --compare-to regression gate inspects.  Only the
 #: obs-disabled admit path is gated: it is the zero-cost-when-off
@@ -82,11 +73,7 @@ def _sizes(quick: bool) -> dict:
     }
 
 
-def _series_entry(ops: int, mean_s: float) -> dict[str, float]:
-    return {"ops_per_sec": ops / mean_s if mean_s else float("inf"), "mean_s": mean_s}
-
-
-def _bench_admit(ops: int, repeats: int) -> float:
+def _bench_admit(ops: int, repeats: int) -> Timing:
     """Hot try_acquire loop on the always-admit path, one key.
 
     The limit is far above what the loop can consume inside one window,
@@ -105,7 +92,7 @@ def _bench_admit(ops: int, repeats: int) -> float:
         finally:
             limiter.close()
 
-    return measure(run, repeats=repeats, warmup=1).mean
+    return measure(run, repeats=repeats, warmup=1)
 
 
 def _bench_capacity_step(rate: float, sizes: dict) -> dict:
@@ -151,16 +138,12 @@ def run_load_ops(*, quick: bool = False) -> dict:
 
     obs.disable()  # belt and braces: never inherit ambient enablement
     series["ratelimit_admit"] = {
-        "local": _series_entry(
-            sizes["admit_ops"], _bench_admit(sizes["admit_ops"], repeats)
-        )
+        "local": entry(sizes["admit_ops"], _bench_admit(sizes["admit_ops"], repeats))
     }
     obs.enable()
     try:
         series["ratelimit_admit_obs"] = {
-            "local": _series_entry(
-                sizes["admit_ops"], _bench_admit(sizes["admit_ops"], repeats)
-            )
+            "local": entry(sizes["admit_ops"], _bench_admit(sizes["admit_ops"], repeats))
         }
     finally:
         obs.disable()
@@ -175,83 +158,24 @@ def run_load_ops(*, quick: bool = False) -> dict:
     for step in series["capacity"]:
         if step["offered"] and step["achieved"] >= 0.9 * step["offered"]:
             knee = step["offered"]
-    return {
-        "bench": "load_ops",
-        "schema": SCHEMA,
-        "quick": quick,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        **host_metadata(),
-        "config": sizes,
-        "series": series,
-        "derived": {
+    return runner.document(
+        "load_ops",
+        quick=quick,
+        config=sizes,
+        series=series,
+        derived={
             # ~1.0 by construction: with obs disabled the admit path has
             # no hooks, only dormant syncpoint seams.
-            "admit_obs_enabled_vs_disabled": (
-                admit_on / admit_off if admit_off else float("inf")
-            ),
+            "admit_obs_enabled_vs_disabled": ratio(admit_on, admit_off),
             # Highest offered rate the service still tracks (achieved ≥
             # 90% of offered) — None when even the first step saturates.
             "capacity_knee": knee,
         },
-    }
+    )
 
 
-def compare(
-    doc: dict,
-    baseline: dict,
-    *,
-    tolerance: float = 0.3,
-    overrides: dict[str, float] | None = None,
-) -> list[str]:
-    """Regression-gate ``doc`` against ``baseline``; return failure messages.
-
-    Same contract as :func:`repro.bench.counter_ops.compare`, over this
-    bench's :data:`GATED_SERIES`: new ops/sec below ``(1 - tolerance)``
-    of the baseline's is a regression, ``overrides`` maps a series name
-    to its own tolerance, and incomparable documents (different sizes or
-    quick flags) raise :class:`ValueError`.
-    """
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    overrides = overrides or {}
-    for series_name, value in overrides.items():
-        if not 0 <= value < 1:
-            raise ValueError(f"tolerance for {series_name} must be in [0, 1), got {value}")
-    for key in ("bench", "quick", "config"):
-        if doc.get(key) != baseline.get(key):
-            raise ValueError(
-                f"result and baseline are not comparable: {key} differs "
-                f"({doc.get(key)!r} vs {baseline.get(key)!r})"
-            )
-    failures = []
-    for series_name in GATED_SERIES:
-        new_series = doc.get("series", {}).get(series_name, {})
-        old_series = baseline.get("series", {}).get(series_name, {})
-        series_tolerance = overrides.get(series_name, tolerance)
-        for impl in sorted(set(new_series) & set(old_series)):
-            new_ops = new_series[impl]["ops_per_sec"]
-            old_ops = old_series[impl]["ops_per_sec"]
-            floor = old_ops * (1.0 - series_tolerance)
-            if new_ops < floor:
-                failures.append(
-                    f"{series_name}/{impl}: {new_ops:,.0f} ops/s is "
-                    f"{1 - new_ops / old_ops:.0%} below baseline "
-                    f"{old_ops:,.0f} (tolerance {series_tolerance:.0%})"
-                )
-    return failures
-
-
-def render(doc: dict) -> str:
-    """A human-readable summary of one result document."""
-    lines = []
-    for series_name in ("ratelimit_admit", "ratelimit_admit_obs"):
-        table = Table(
-            f"load_ops/{series_name} (ops/sec)",
-            ["implementation", "ops/sec", "mean s"],
-        )
-        for impl, entry in doc["series"][series_name].items():
-            table.add_row(impl, entry["ops_per_sec"], entry["mean_s"])
-        lines.append(table.render())
+def render(doc: dict) -> list[str]:
+    """The capacity table and derived lines printed under the admit tables."""
     capacity = Table(
         "load_ops/capacity (open loop, latency from intended send)",
         ["offered/s", "achieved/s", "admit", "p50 s", "p99 s", "p999 s"],
@@ -261,103 +185,25 @@ def render(doc: dict) -> str:
             step["offered"], step["achieved"], step["admit_rate"],
             step["p50"], step["p99"], step["p999"],
         )
-    lines.append(capacity.render())
     tax = doc["derived"]["admit_obs_enabled_vs_disabled"]
-    lines.append(f"admit path obs enabled vs disabled: {tax:.2f}x")
     knee = doc["derived"]["capacity_knee"]
-    lines.append(
-        f"capacity knee (achieved >= 90% of offered): "
-        f"{knee if knee is not None else 'below first step'}"
-    )
-    return "\n\n".join(lines)
+    return [
+        capacity.render(),
+        f"admit path obs enabled vs disabled: {tax:.2f}x",
+        "capacity knee (achieved >= 90% of offered): "
+        f"{knee if knee is not None else 'below first step'}",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.load_ops", description=__doc__.splitlines()[0]
+    return runner.main(
+        argv,
+        bench="load_ops",
+        run=run_load_ops,
+        render=render,
+        gated=GATED_SERIES,
+        description=__doc__.splitlines()[0],
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="tiny sizes for a CI smoke run"
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_load_ops.json",
-        help="where to write the JSON log (default: ./BENCH_load_ops.json)",
-    )
-    parser.add_argument(
-        "--history",
-        default="BENCH_load_ops.history.jsonl",
-        help="JSONL trajectory to append to (default: ./BENCH_load_ops.history.jsonl)",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true", help="skip the trajectory append"
-    )
-    parser.add_argument(
-        "--label", default=None, help="free-form tag recorded in the history entry"
-    )
-    parser.add_argument(
-        "--timestamp",
-        default=None,
-        help="override the recorded timestamp (e.g. to key a re-run to its PR)",
-    )
-    parser.add_argument(
-        "--compare-to",
-        default=None,
-        metavar="BASELINE.json",
-        help="regression-gate the run against a committed baseline snapshot",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.3,
-        help="allowed fractional ops/sec drop for --compare-to (default 0.3)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="append",
-        default=[],
-        metavar="SERIES=TOL",
-        help="per-series tolerance override for --compare-to, e.g. "
-        "ratelimit_admit=0.02 (repeatable)",
-    )
-    args = parser.parse_args(argv)
-    overrides: dict[str, float] = {}
-    for spec in args.gate:
-        series_name, sep, value = spec.partition("=")
-        if not sep or not series_name:
-            parser.error(f"--gate expects SERIES=TOL, got {spec!r}")
-        try:
-            overrides[series_name] = float(value)
-        except ValueError:
-            parser.error(f"--gate tolerance must be a float, got {spec!r}")
-    doc = run_load_ops(quick=args.quick)
-    if args.timestamp is not None:
-        doc["timestamp"] = args.timestamp
-    print(render(doc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {args.out}")
-    if not args.no_history:
-        append_history(doc, args.history, label=args.label)
-        print(f"appended trajectory point to {args.history}")
-    if args.compare_to is not None:
-        with open(args.compare_to, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        try:
-            failures = compare(
-                doc, baseline, tolerance=args.tolerance, overrides=overrides
-            )
-        except ValueError as exc:
-            print(f"regression gate skipped: {exc}", file=sys.stderr)
-            return 0
-        if failures:
-            print(f"\nREGRESSION vs {args.compare_to}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.compare_to} (tolerance {args.tolerance:.0%})")
-    return 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,18 @@ class Timing:
         return min(self.samples)
 
     @property
+    def median(self) -> float:
+        return statistics.median(self.samples)
+
+    @property
+    def iqr(self) -> float:
+        """Interquartile range (inclusive quartiles; 0 for one sample)."""
+        if len(self.samples) < 2:
+            return 0.0
+        q1, _, q3 = statistics.quantiles(self.samples, n=4, method="inclusive")
+        return q3 - q1
+
+    @property
     def stdev(self) -> float:
         return statistics.stdev(self.samples) if len(self.samples) > 1 else 0.0
 

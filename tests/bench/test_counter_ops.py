@@ -1,28 +1,20 @@
-"""Smoke tests for the counter-ops bench harness (quick sizes)."""
+"""The counter-ops suite's series, derived ratios and CLI (quick sizes).
+
+Gate, history and CLI behaviour shared by every suite: test_runner.py.
+"""
 
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
 
-from repro.bench.counter_ops import (
-    FACTORIES,
-    FAN_IN,
-    GATED_SERIES,
-    HANDOFF,
-    append_history,
-    compare,
-    main,
-    run_counter_ops,
-)
+from repro.bench.counter_ops import FACTORIES, FAN_IN, HANDOFF, main, render
 
 
 @pytest.fixture(scope="module")
-def doc():
-    """One shared quick run (the harness itself is what's under test)."""
-    return run_counter_ops(quick=True)
+def doc(quick_doc):
+    return quick_doc("counter_ops")
 
 
 class TestRunCounterOps:
@@ -77,51 +69,6 @@ class TestRunCounterOps:
         assert obs.current() is None
 
 
-class TestHistory:
-    def test_append_history_accumulates_jsonl(self, doc, tmp_path):
-        path = tmp_path / "history.jsonl"
-        append_history(doc, str(path), label="first")
-        append_history(doc, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["label"] == "first"
-        assert "label" not in second
-        for entry in (first, second):
-            assert "sha" in entry and "dirty" in entry
-            assert entry["series"]["fan_in_wakeup"]["linked"]["ops_per_sec"] > 0
-
-
-class TestCompare:
-    def test_identical_docs_pass(self, doc):
-        assert compare(doc, copy.deepcopy(doc)) == []
-
-    def test_regression_detected(self, doc):
-        baseline = copy.deepcopy(doc)
-        entry = baseline["series"]["fan_in_wakeup"]["linked"]
-        entry["ops_per_sec"] = entry["ops_per_sec"] * 10
-        failures = compare(doc, baseline, tolerance=0.3)
-        assert len(failures) == 1
-        assert "fan_in_wakeup/linked" in failures[0]
-
-    def test_improvement_and_small_noise_pass(self, doc):
-        baseline = copy.deepcopy(doc)
-        for series in ("fan_in_wakeup", "immediate_check"):
-            for entry in baseline["series"][series].values():
-                entry["ops_per_sec"] *= 1.2  # new run is ~17% slower: within 30%
-        assert compare(doc, baseline, tolerance=0.3) == []
-
-    def test_mismatched_configs_refused(self, doc):
-        baseline = copy.deepcopy(doc)
-        baseline["config"] = dict(baseline["config"], fan_in_waiters=9999)
-        with pytest.raises(ValueError, match="not comparable"):
-            compare(doc, baseline)
-
-    def test_bad_tolerance_rejected(self, doc):
-        with pytest.raises(ValueError, match="tolerance"):
-            compare(doc, copy.deepcopy(doc), tolerance=1.5)
-
-
 class TestMain:
     def test_main_writes_json_log_and_history(self, tmp_path, capsys):
         out = tmp_path / "BENCH_counter_ops.json"
@@ -141,42 +88,11 @@ class TestMain:
             == 0
         )
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 2
+        assert doc["bench"] == "counter_ops"
         assert doc["timestamp"] == "2026-01-01T00:00:00+0000"
         assert "immediate_check" in doc["series"]
         entry = json.loads(history.read_text().strip())
         assert entry["timestamp"] == "2026-01-01T00:00:00+0000"
         printed = capsys.readouterr().out
-        assert "fast path vs locked seed path" in printed
-
-    def test_main_compare_gate(self, tmp_path, capsys):
-        out = tmp_path / "out.json"
-        assert main(["--quick", "--out", str(out), "--no-history"]) == 0
-        capsys.readouterr()
-        # A deflated baseline passes deterministically; an inflated one
-        # fails deterministically (quick-run noise cannot span 1000x).
-        # Every gated series is doctored — one left at its real (noisy)
-        # value could flake the deflated half on a loaded runner.
-        for factor, name, expected in ((0.001, "deflated", 0), (1000, "inflated", 1)):
-            doctored = json.loads(out.read_text())
-            for series in GATED_SERIES:
-                for entry in doctored["series"][series].values():
-                    entry["ops_per_sec"] *= factor
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doctored))
-            assert (
-                main(
-                    [
-                        "--quick",
-                        "--out",
-                        str(out),
-                        "--no-history",
-                        "--compare-to",
-                        str(path),
-                    ]
-                )
-                == expected
-            )
-            captured = capsys.readouterr()
-            if expected:
-                assert "REGRESSION" in captured.err
+        for line in render(doc):
+            assert line in printed

@@ -1,4 +1,7 @@
-"""Smoke tests for the dist-ops bench harness (quick sizes)."""
+"""The dist-ops suite's series, derived ratios and CLI (quick sizes).
+
+Gate, history and CLI behaviour shared by every suite: test_runner.py.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +10,13 @@ import json
 
 import pytest
 
-from repro.bench.dist_ops import GATED_SERIES, compare, main, run_dist_ops
+from repro.bench.dist_ops import GATED_SERIES, main
+from repro.bench.runner import compare
 
 
 @pytest.fixture(scope="module")
-def doc():
-    """One shared quick run (the harness itself is what's under test)."""
-    return run_dist_ops(quick=True)
+def doc(quick_doc):
+    return quick_doc("dist_ops")
 
 
 class TestRunDistOps:
@@ -76,40 +79,11 @@ class TestRunDistOps:
 
 
 class TestCompare:
-    def test_identical_documents_pass(self, doc):
-        assert compare(doc, copy.deepcopy(doc)) == []
-
-    def test_regression_detected_in_gated_series(self, doc):
-        slower = copy.deepcopy(doc)
-        series = GATED_SERIES[0]
-        impl = next(iter(slower["series"][series]))
-        slower["series"][series][impl]["ops_per_sec"] *= 0.5
-        failures = compare(slower, doc, tolerance=0.3)
-        assert len(failures) == 1
-        assert series in failures[0]
-
     def test_scaling_series_not_gated(self, doc):
         slower = copy.deepcopy(doc)
         for entry in slower["series"]["shm_increment_scaling"].values():
             entry["ops_per_sec"] *= 0.01
-        assert compare(slower, doc) == []
-
-    def test_incomparable_documents_rejected(self, doc):
-        other = copy.deepcopy(doc)
-        other["quick"] = False
-        with pytest.raises(ValueError, match="not comparable"):
-            compare(doc, other)
-
-    def test_override_tightens_one_series(self, doc):
-        slower = copy.deepcopy(doc)
-        series = GATED_SERIES[0]
-        for entry in slower["series"][series].values():
-            entry["ops_per_sec"] *= 0.9
-        assert compare(slower, doc, tolerance=0.3) == []
-        failures = compare(
-            slower, doc, tolerance=0.3, overrides={series: 0.02}
-        )
-        assert failures
+        assert compare(slower, doc, gated=GATED_SERIES) == []
 
 
 class TestMain:

@@ -1,4 +1,7 @@
-"""Smoke tests for the load-ops bench harness (quick sizes)."""
+"""The load-ops suite's series, derived ratios and CLI (quick sizes).
+
+Gate, history and CLI behaviour shared by every suite: test_runner.py.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +10,13 @@ import json
 
 import pytest
 
-from repro.bench.load_ops import GATED_SERIES, compare, main, run_load_ops
+from repro.bench.load_ops import GATED_SERIES, main
+from repro.bench.runner import compare
 
 
 @pytest.fixture(scope="module")
-def doc():
-    """One shared quick run (the harness itself is what's under test)."""
-    return run_load_ops(quick=True)
+def doc(quick_doc):
+    return quick_doc("load_ops")
 
 
 class TestRunLoadOps:
@@ -49,44 +52,11 @@ class TestRunLoadOps:
 
 
 class TestCompare:
-    def test_identical_documents_pass(self, doc):
-        assert compare(doc, copy.deepcopy(doc)) == []
-
-    def test_gated_series_regression_is_reported(self, doc):
-        slow = copy.deepcopy(doc)
-        for series in GATED_SERIES:
-            for entry in slow["series"][series].values():
-                entry["ops_per_sec"] *= 0.5
-        failures = compare(slow, doc, tolerance=0.3)
-        assert failures and all("ratelimit_admit" in f for f in failures)
-
     def test_capacity_is_trajectory_not_gate(self, doc):
         worse = copy.deepcopy(doc)
         for step in worse["series"]["capacity"]:
             step["achieved"] = 0.0
-        assert compare(worse, doc) == []
-
-    def test_override_tightens_one_series(self, doc):
-        slightly_slow = copy.deepcopy(doc)
-        entry = slightly_slow["series"]["ratelimit_admit"]["local"]
-        entry["ops_per_sec"] *= 0.95  # inside 30%, outside 2%
-        assert compare(slightly_slow, doc) == []
-        failures = compare(
-            slightly_slow, doc, overrides={"ratelimit_admit": 0.02}
-        )
-        assert len(failures) == 1
-
-    def test_incomparable_documents_raise(self, doc):
-        other = copy.deepcopy(doc)
-        other["quick"] = False
-        with pytest.raises(ValueError):
-            compare(other, doc)
-
-    def test_tolerance_validation(self, doc):
-        with pytest.raises(ValueError):
-            compare(doc, doc, tolerance=1.5)
-        with pytest.raises(ValueError):
-            compare(doc, doc, overrides={"ratelimit_admit": -0.1})
+        assert compare(worse, doc, gated=GATED_SERIES) == []
 
 
 class TestMain:
@@ -109,20 +79,3 @@ class TestMain:
             "--quick", "--out", str(tmp_path / "second.json"), "--no-history",
             "--compare-to", str(out), "--gate", "ratelimit_admit=0.9",
         ]) == 0
-
-    def test_incomparable_baseline_skips_the_gate(self, tmp_path, capsys):
-        out = tmp_path / "quick.json"
-        assert main(["--quick", "--out", str(out), "--no-history"]) == 0
-        baseline = json.loads(out.read_text())
-        baseline["quick"] = False
-        full = tmp_path / "full.json"
-        full.write_text(json.dumps(baseline))
-        assert main([
-            "--quick", "--out", str(tmp_path / "again.json"), "--no-history",
-            "--compare-to", str(full),
-        ]) == 0
-        assert "regression gate skipped" in capsys.readouterr().err
-
-    def test_bad_gate_spec_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--quick", "--gate", "nonsense"])
