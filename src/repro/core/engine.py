@@ -58,7 +58,6 @@ __all__ = [
     "ParkingSlot",
     "WheelEntry",
     "TimerWheel",
-    "Doorbell",
     "current_slot",
     "live_slot_count",
     "wheel",
@@ -111,8 +110,8 @@ class ParkingSlot:
         self._lock = lock
         self.set = self.release_wake = lock.release
         self.block = lock.acquire
-        # Once per slot lifetime (one slot per thread, plus the handful
-        # of dedicated sweeper/doorbell slots) — nowhere near any wait
+        # Once per slot lifetime (one slot per thread, plus the timer
+        # wheel sweeper's dedicated slot) — nowhere near any wait
         # path, so the registry costs nothing per park.
         _live_slots.add(self)
 
@@ -144,8 +143,8 @@ _live_slots: "weakref.WeakSet[ParkingSlot]" = weakref.WeakSet()
 def live_slot_count() -> int:
     """Parking slots currently alive (diagnostic, for ``dump_state``).
 
-    One per thread that ever parked, plus dedicated slots (timer-wheel
-    sweeper, doorbells); weakly tracked, so exited threads fall out.
+    One per thread that ever parked, plus the timer-wheel sweeper's
+    dedicated slot; weakly tracked, so exited threads fall out.
     """
     return len(_live_slots)
 
@@ -165,74 +164,6 @@ def current_slot() -> ParkingSlot:
     except AttributeError:
         slot = _thread_slots.slot = ParkingSlot()
         return slot
-
-
-class Doorbell:
-    """Idempotent many-ringer, one-waiter notification over a slot.
-
-    A :class:`ParkingSlot` enforces *exactly one set per park round* and
-    crashes loudly on a double set — the right contract for the counter
-    protocol, where the claim discipline guarantees a single waker, but
-    the wrong one for ambient "something changed" notifications where
-    any number of producers may ring concurrently (the shared-memory
-    counter fabric's per-process watcher, :mod:`repro.dist.shm`).  A
-    doorbell wraps a dedicated slot (never the thread's
-    :func:`current_slot` — stray sets must not leak into counter parks)
-    behind a one-shot pending token so that any number of ``ring()``
-    calls collapse into at most one outstanding set:
-
-    * ``ring()`` pops the token (atomic ``list.pop``, the same
-      arbitration :class:`WheelEntry` uses) and only the winner sets the
-      slot; later rings are no-ops until the waiter consumes the set.
-    * ``wait()`` re-arms the token only after consuming a set, so the
-      state machine is exactly {armed, set-outstanding} and a second
-      outstanding set is impossible.  A ring that lands between a
-      timeout and the next wait is *banked* by the slot and consumed
-      immediately — a spurious wake, which poll loops re-check away.
-
-    Rings are therefore level-triggered edges, not counted events:
-    callers must re-examine their condition after every wake.
-    """
-
-    __slots__ = ("_slot", "_pending")
-
-    def __init__(self) -> None:
-        self._slot = ParkingSlot()
-        self._pending = [None]  # armed: the next ring may claim it
-
-    def ring(self) -> bool:
-        """Wake the waiter (at most one set outstanding); True if this
-        call delivered the set, False if one was already pending."""
-        if _sp.enabled:
-            _sp.fire("doorbell.ring", self)
-        try:
-            self._pending.pop()
-        except IndexError:
-            return False
-        if _sp.enabled:
-            _sp.fire("doorbell.deliver", self)
-        self._slot.set()
-        return True
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Park until rung (or ``timeout``); True if a ring arrived.
-
-        Only ever call from the single owning waiter thread.  On a
-        timeout the token is deliberately *not* re-armed: a concurrent
-        ring may have claimed it with its set still in flight, and that
-        set must be consumed (it will be, banked, by the next wait)
-        before a new ring is allowed to deliver another.
-        """
-        if _sp.enabled:
-            _sp.fire("doorbell.wait", self)
-        if self._slot.wait(timeout):
-            self._pending.append(None)  # consumed the one set; re-arm
-            return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "armed" if self._pending else "set-pending"
-        return f"<Doorbell {state}>"
 
 
 class WheelEntry:

@@ -23,7 +23,6 @@ schedules through :func:`install`/:func:`uninstall`).  The hook receives
 counter for ``increment.*``/``check.*``/``park.*``/``shard*.*`` points, a
 :class:`~repro.core.waitlist.WaitNode` for ``node.*`` points, a
 :class:`~repro.core.multiwait.MultiWait` for ``multiwait.*`` points, a
-:class:`~repro.core.engine.Doorbell` for ``doorbell.*`` points, a
 :class:`~repro.core.engine.WheelEntry` for ``wheel.*`` points.  The
 hook runs in the thread executing the operation, possibly while that
 thread holds the primitive's internal locks (each point's docstring entry
@@ -43,7 +42,6 @@ __all__ = [
     "fire",
     "POINTS",
     "BLOCKING_POINTS",
-    "ENGINE_PARK_POINTS",
 ]
 
 #: Read by every instrumented site; True only between install/uninstall.
@@ -93,29 +91,21 @@ POINTS = frozenset(
         "ratelimit.lock",      # try_acquire, before acquiring the entry lock
         "ratelimit.roll",      # inside the entry lock, before retiring a window
         "ratelimit.evict",     # limiter lock held, before evicting an LRU entry
-        # Engine claim races (fired with the Doorbell / WheelEntry)
-        "doorbell.ring",       # ring, before the pending-token pop
-        "doorbell.deliver",    # ring, token won, before setting the slot
-        "doorbell.wait",       # wait, before parking on the doorbell slot
+        # Engine claim race (fired with the WheelEntry)
         "wheel.release",       # release pass, before the entry's claim pop
         "wheel.timeout",       # sweeper/timeout side, before the claim pop
     }
 )
 
 #: Points after which the firing thread is expected to block in a real
-#: primitive (a parking-slot wait).  Schedulers treat a thread granted
-#: through one of these as immediately off-schedule instead of waiting
-#: out a stall timeout.
-BLOCKING_POINTS = frozenset({"park.enter", "multiwait.park", "doorbell.wait"})
-
-#: The subset of BLOCKING_POINTS where a pending *timed* wake is always
-#: visible to the harness: counter and MultiWait parks stage their
-#: timeouts through the shared timer wheel (after a ~20ms grace wait),
-#: so "every unfinished worker parked here + wheel empty + short
-#: silence" proves a deadlock instantly.  ``doorbell.wait`` is excluded
-#: — its optional timeout lives in the slot wait itself, invisible from
-#: outside.
-ENGINE_PARK_POINTS = frozenset({"park.enter", "multiwait.park"})
+#: primitive (an engine parking-slot wait).  Schedulers treat a thread
+#: granted through one of these as immediately off-schedule instead of
+#: waiting out a stall timeout.  A pending *timed* wake from any of them
+#: is always visible to the harness: counter and MultiWait parks stage
+#: their timeouts through the shared timer wheel (after a ~20ms grace
+#: wait), so "every unfinished worker parked here + wheel empty + short
+#: silence" proves a deadlock instantly.
+BLOCKING_POINTS = frozenset({"park.enter", "multiwait.park"})
 
 
 def install(hook: Callable[[str, object], None]) -> None:

@@ -28,19 +28,27 @@ contract the sharded dumps carry — so the only possible error is a
 wait that parks a little longer, never a wakeup that fires early and
 never an observed decrease.
 
-**Waiting.**  Pure shared memory offers no portable cross-process wake
-primitive, so waits are hybrid: in-process waiters park through the
-PR-6 engine on a local :class:`~repro.core.counter.MonotonicCounter`
-mirror, and a single per-attachment *watcher* thread closes the
-cross-process gap — it publishes the process's lowest awaited level in
-the shm doorbell slot, then alternates cheap read-only scans with
-parks on an engine :class:`~repro.core.engine.Doorbell` using an
-adaptive poll interval.  Local increments ring the doorbell directly
-(same-process handoff never waits out a poll), and remote writers that
-satisfy a published doorbell level bump the header's ring generation,
-which the watcher's scan picks up at the next poll boundary.  An
-already-true ``check`` never involves any of this: it is one read-only
-scan, no lock, no syscall, no watcher.
+**Waiting.**  In-process waiters park through the wakeup engine on a
+local :class:`~repro.core.counter.MonotonicCounter` mirror, and a single
+per-attachment *watcher* thread closes the cross-process gap.  Before it
+publishes the process's lowest awaited level in the shm bell word, the
+attachment creates a named FIFO next to the flock sidecar
+(``repro-shm-<segment>-<slot>.fifo``) and opens it read-write,
+non-blocking.  The watcher blocks in ``poll`` on that FIFO.  A remote
+writer whose increment satisfies a published bell level bumps the
+header's ring generation *before* its value store, then writes one byte
+to that slot's FIFO *after* the store: the kernel wakes the watcher,
+which re-scans and raises the mirror.  Local increments, ``close`` and
+a new waiter that finds the watcher idle write to the process's own
+FIFO.  An already-true ``check`` never involves any of this: it is one
+read-only scan, no lock, no syscall, no watcher.
+
+The wake is an accelerator, never the proof.  A writer can read the
+bells just before a waiter publishes its bell, and store just after the
+waiter's post-registration re-scan; no byte is written for that store.
+While anyone waits, the watcher's ``poll`` therefore times out at the
+``_POLL_MAX`` ceiling (4 ms) and re-scans, so a missed wake costs at
+most one ceiling poll.
 
 **Lifecycle.**  ``ShmCounter.publish(name)`` creates the segment;
 ``ShmCounter.attach(name)`` maps it and claims a writer slot.  Claims
@@ -58,7 +66,9 @@ new slot value, both valid states; readers never observe a decrease
 from __future__ import annotations
 
 import os
+import select
 import struct
+import tempfile
 import threading
 import time
 from multiprocessing import shared_memory
@@ -66,7 +76,6 @@ from multiprocessing import shared_memory
 from repro.core import syncpoints as _sp
 from repro.core.counter import MonotonicCounter
 from repro.obs import hooks as _obs
-from repro.core.engine import Doorbell
 from repro.core.errors import CheckTimeout
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.validation import validate_amount, validate_level, validate_timeout
@@ -79,12 +88,9 @@ _HEADER_WORDS = 8          # magic, version, nslots, ring, 4 reserved
 _WORD = 8
 _VERSION = 1
 
-#: Watcher poll interval bounds (seconds).  The watcher starts at the
-#: floor after any progress and doubles toward the ceiling while scans
-#: come back empty — cross-process wakeup latency is bounded by the
-#: current interval, remote rings pull the next poll back to the floor,
-#: and local increments bypass polling entirely via the doorbell.
-_POLL_MIN = 0.0002
+#: The watcher's ceiling poll (seconds) while anyone waits: how long a
+#: wake missed by the bell/re-scan race (module docstring) can go
+#: unnoticed.  Every other wake arrives as a FIFO byte.
 _POLL_MAX = 0.004
 
 #: Serializes the resource-tracker patch in :meth:`ShmCounter.attach`
@@ -109,9 +115,54 @@ class ShmSlotSnapshot:
 
 
 def _lock_path(name: str) -> str:
-    import tempfile
-
     return os.path.join(tempfile.gettempdir(), f"repro-shm-{name}.lock")
+
+
+def _fifo_path(name: str, slot: int) -> str:
+    return os.path.join(tempfile.gettempdir(), f"repro-shm-{name}-{slot}.fifo")
+
+
+def _unlink_quiet(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _wait_fifo(poller, fd: int, timeout: float | None) -> None:
+    """Block until a byte lands on FIFO ``fd`` (or ``timeout`` seconds);
+    drain it.  ``poller`` watches ``fd`` for input (``poll``, unlike
+    ``select``, takes fds past 1023).
+
+    Rings are edges, not counts: one drain answers every pending ring,
+    and the caller re-scans the segment either way.
+    """
+    if poller.poll(None if timeout is None else timeout * 1000.0):
+        os.read(fd, 4096)
+
+
+def _ring_fd(fd: int) -> bool:
+    """Write one wake byte to FIFO ``fd``; False if nobody reads it."""
+    try:
+        os.write(fd, b"\0")
+    except BlockingIOError:  # full: a wake is already pending
+        pass
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _make_fifo(path: str) -> int:
+    """Create a fresh FIFO at ``path``; return its read-write end.
+
+    Any file already there is a previous owner's of the same slot (a
+    crashed process never unlinks its own).  Opening read-write keeps a
+    writer on the FIFO, so ``poll`` never sees a hang-up, and the open
+    never blocks waiting for a peer.
+    """
+    _unlink_quiet(path)
+    os.mkfifo(path, 0o600)
+    return os.open(path, os.O_RDWR | os.O_NONBLOCK)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -173,8 +224,17 @@ class ShmCounter:
         self._published = 0          # cumulative floor handed to the mirror
         self._publish_lock = threading.Lock()
         self._waiting: dict[int, int] = {}  # level -> local waiter count
-        self._doorbell = Doorbell()
         self._watcher: threading.Thread | None = None
+        # True once the watcher has seen nobody waiting and blocks with
+        # no timeout: only then must a new waiter ring it (under
+        # _local_lock, like _waiting).
+        self._watch_idle = False
+        # Our FIFO's read-write end, made on the first wait.  Every write
+        # to a FIFO fd (ours or a cached remote one) happens under
+        # _bell_lock, so close() can never free an fd number mid-write.
+        self._fifo_fd: int | None = None
+        self._bell_fds: dict[int, tuple[int, int]] | None = {}  # slot -> (owner pid, fd)
+        self._bell_lock = threading.Lock()
         _obs_registry.register(self)
 
     # ------------------------------------------------------------ lifecycle
@@ -242,6 +302,7 @@ class ShmCounter:
 
         base = _HEADER_WORDS * _WORD
         pids = segment.buf[base + nslots * _WORD:base + 2 * nslots * _WORD].cast("Q")
+        bells = segment.buf[base + 2 * nslots * _WORD:base + 3 * nslots * _WORD].cast("Q")
         with open(_lock_path(name), "a+b") as lock_file:
             fcntl.flock(lock_file, fcntl.LOCK_EX)
             try:
@@ -249,6 +310,10 @@ class ShmCounter:
                     pid = pids[index]
                     if pid == 0 or not _pid_alive(int(pid)):
                         pids[index] = os.getpid()
+                        # A dead owner's bell would keep writers ringing
+                        # a FIFO nobody reads; the new owner has no
+                        # waiters yet.
+                        bells[index] = 0
                         if _obs.enabled:
                             # op records whether this claim took a free
                             # slot or reclaimed a dead owner's; count is
@@ -281,13 +346,32 @@ class ShmCounter:
         return self._nslots
 
     def close(self) -> None:
-        """Release the slot (ownership only; the value stays) and unmap."""
+        """Release the slot (ownership only; the value stays), close and
+        remove this handle's FIFO, and unmap."""
         with self._local_lock:
             if self._closed:
                 return
             self._closed = True
         _obs_registry.deregister(self)
-        self._stop_watcher()
+        watcher = self._watcher
+        if watcher is not None:
+            self._ring_own()  # the watcher sees _closed and exits
+            watcher.join(timeout=2.0)
+            self._watcher = None
+        with self._bell_lock:
+            fds, self._bell_fds = self._bell_fds, None
+            own, self._fifo_fd = self._fifo_fd, None
+        for _pid, fd in fds.values():
+            os.close(fd)
+        if own is not None:
+            # Unlink before the slot is released: the next owner of this
+            # slot makes its own FIFO at this path.
+            _unlink_quiet(_fifo_path(self._name, self._slot))
+            # A watcher still alive past the join may yet poll or read
+            # ``own``: leak it rather than let the kernel hand its
+            # number to another file.
+            if watcher is None or not watcher.is_alive():
+                os.close(own)
         try:
             self._pids[self._slot] = 0
         except (ValueError, TypeError):  # pragma: no cover - already unmapped
@@ -300,17 +384,17 @@ class ShmCounter:
         self._shm.close()
 
     def unlink(self) -> None:
-        """Destroy the segment (publisher's responsibility, after close).
+        """Destroy the segment, its lock file and every slot's FIFO
+        (publisher's responsibility, after close).
 
         Name-based, so it works on a closed handle; idempotent."""
         try:
             self._shm.unlink()
         except FileNotFoundError:
             pass
-        try:
-            os.unlink(_lock_path(self._name))
-        except OSError:
-            pass
+        _unlink_quiet(_lock_path(self._name))
+        for index in range(self._nslots):
+            _unlink_quiet(_fifo_path(self._name, index))
 
     def __enter__(self) -> "ShmCounter":
         return self
@@ -339,12 +423,12 @@ class ShmCounter:
         """Grow this process's slot; wake local waiters; ring remote bells.
 
         The store is the only cross-process write: a single increasing
-        8-byte value into our own slot.  Everything after it is wakeup
-        plumbing — raising the local mirror (which runs the engine's
-        coalesced wake pass for in-process waiters) and, only when some
-        *other* process has published a doorbell level the new sum
-        satisfies, bumping the header ring generation so its watcher's
-        next poll rescans.
+        8-byte value into our own slot.  Everything else is wakeup
+        plumbing.  When some *other* slot has published a bell level the
+        new sum satisfies, the header ring generation is bumped before
+        the store and each such slot's FIFO gets one byte after it,
+        outside the lock.  Then the local mirror is raised (the engine's
+        coalesced wake pass for in-process waiters).
         """
         if type(amount) is not int or amount < 0:
             amount = validate_amount(amount)
@@ -357,25 +441,31 @@ class ShmCounter:
                 raise ValueError(f"{self!r}: increment on a closed handle")
             new_own = values[slot] + amount
             total = sum(values) + amount  # the sum once the store lands
-            # Remote wakeups: scan the doorbells (one cache-line-ish
-            # read per slot, only on the increment path) and bump the
-            # ring generation when any published level is about to be
-            # satisfied.  The bump goes BEFORE the value store: a
-            # watcher that observes the new value is then guaranteed to
-            # observe the generation that announced it (this process
-            # could stall arbitrarily long between the two stores, and
-            # bump-after-store would let the watcher publish the wakeup
-            # with no bell attribution and park before the bump lands).
-            # An early ring merely costs the watcher one extra scan.
+            # Remote wakeups: scan the bells (one cache-line-ish read
+            # per slot, only on the increment path), collect every slot
+            # whose published level is about to be satisfied, and bump
+            # the ring generation once.  The bump goes BEFORE the value
+            # store: a watcher that observes the new value is then
+            # guaranteed to observe the generation that announced it
+            # (this process could stall arbitrarily long between the
+            # two stores, and bump-after-store would let the watcher
+            # publish the wakeup with no bell attribution and park
+            # before the bump lands).  An early ring merely costs the
+            # watcher one extra scan.
             # The bump is a read-modify-write that may race another
             # writer's — losing one of two concurrent bumps is harmless
             # because the value can only move away from what any
             # watcher last saw.
             bells = self._bells
             ring = self._ring
+            rung = None
             for index in range(self._nslots):
                 bell = bells[index]
                 if bell and index != slot and bell - 1 <= total:
+                    if rung is not None:
+                        rung.append(index)
+                        continue
+                    rung = [index]
                     new_gen = ring[0] + 1
                     ring[0] = new_gen
                     if _obs.enabled:
@@ -389,13 +479,16 @@ class ShmCounter:
                         _obs.on_dist(self, "bell_ring",
                                      corr=f"bell:{self._name}:{int(new_gen)}",
                                      level=int(bell - 1), value=total)
-                    break
             values[slot] = new_own
+        # The FIFO bytes go AFTER the store, so a watcher they wake
+        # scans the new value.
+        if rung is not None:
+            self._ring_bells(rung)
         # Local wakeups: raise the mirror floor (engine wake pass) and
-        # ring our own watcher so an in-flight poll re-scans immediately.
+        # ring our own watcher so it re-scans now, not at the ceiling.
         if self._waiting:
             self._publish_floor(total)
-            self._doorbell.ring()
+            self._ring_own()
         return total
 
     def check(self, level: int, timeout: float | None = None) -> None:
@@ -462,17 +555,28 @@ class ShmCounter:
             # the watcher must still classify that bump as a ring (the
             # bell_wake trace event and its corr hang off it).
             ring0 = self._ring[0]
+            # The FIFO exists before the bell names this slot, so a
+            # writer that sees the bell always finds something to open.
+            if self._fifo_fd is None:
+                self._fifo_fd = _make_fifo(_fifo_path(self._name, self._slot))
             self._waiting[level] = self._waiting.get(level, 0) + 1
             self._bells[self._slot] = 1 + min(self._waiting)
+            wake, self._watch_idle = self._watch_idle, False
             watcher = self._watcher
             if watcher is None:
                 watcher = threading.Thread(
-                    target=self._watch, args=(ring0,),
+                    target=self._watch, args=(ring0, self._fifo_fd),
                     name=f"repro-shm-watch-{self._slot}", daemon=True
                 )
                 self._watcher = watcher
                 watcher.start()
-        self._doorbell.ring()  # wake the watcher to pick up the new level
+        # An idle watcher must start its ceiling poll.  One already in
+        # its timed wait is not rung: the bell is published, so a
+        # satisfying writer rings the FIFO itself, and the ceiling
+        # covers the race.  That keeps a steady handoff at one watcher
+        # wake per round, not two.
+        if wake:
+            self._ring_own()
 
     def _deregister_wait(self, level: int) -> None:
         with self._local_lock:
@@ -483,37 +587,38 @@ class ShmCounter:
                 self._waiting.pop(level, None)
             self._bells[self._slot] = 1 + min(self._waiting) if self._waiting else 0
 
-    def _watch(self, last_ring: int) -> None:
-        """The per-attachment watcher: poll the scan, raise the mirror.
+    def _watch(self, last_ring: int, fd: int) -> None:
+        """The per-attachment watcher: scan on each wake, raise the mirror.
 
-        Runs while the handle is open; parks indefinitely on the
-        doorbell when nobody waits (a new waiter rings), polls with an
-        adaptive interval while someone does.  The interval resets to
-        the floor whenever the scan shows progress or the remote ring
-        generation moved, and doubles toward the ceiling across idle
-        scans, so a hot fabric is tracked at sub-millisecond lag and an
-        idle one costs a few scans per second.
+        Runs while the handle is open, blocked in ``poll`` on this
+        handle's FIFO ``fd``: indefinitely when nobody waits (the next
+        waiter rings), at most ``_POLL_MAX`` while someone does.  A
+        satisfying remote increment, a local increment, a waiter that
+        finds the watcher idle and ``close`` each write a byte, so a
+        wake costs one kernel round trip; the ceiling only catches the
+        bell/re-scan race.
 
         ``last_ring`` is the generation observed before the first
         waiter armed its bell (see ``_register_wait``) so a ring that
         lands during thread startup is still seen as a ring.
         """
-        poll = _POLL_MIN
         last_total = -1
         # A noticed ring's corr is held PENDING until the publish it
         # announced consumes it: writers bump the generation before the
         # value store (see increment), so the progress may only become
-        # scannable one or more polls after the bell_wake — the
+        # scannable one or more wakes after the bell_wake — the
         # attribution must survive the gap.
         pending_corr: str | None = None
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
         while True:
             with self._local_lock:
                 if self._closed:
                     return
                 waiting = bool(self._waiting)
+                self._watch_idle = not waiting
             if not waiting:
-                self._doorbell.wait(None)
-                poll = _POLL_MIN
+                _wait_fifo(poller, fd, None)
                 continue
             # Notice the generation *before* publishing: when a remote
             # writer rang, the bell_wake event must precede (in seq) the
@@ -524,7 +629,6 @@ class ShmCounter:
             ring = self._ring[0]
             if ring != last_ring:
                 last_ring = ring
-                poll = _POLL_MIN
                 if _obs.enabled:
                     pending_corr = f"bell:{self._name}:{int(ring)}"
                     _obs.on_dist(self, "bell_wake", corr=pending_corr)
@@ -552,19 +656,43 @@ class ShmCounter:
                     pending_corr = None
                 else:
                     self._publish_floor(total)
-                poll = _POLL_MIN
-            if self._doorbell.wait(poll):
-                poll = _POLL_MIN  # rung: re-scan immediately
-            elif poll < _POLL_MAX:
-                poll = min(poll * 2.0, _POLL_MAX)
+            _wait_fifo(poller, fd, _POLL_MAX)
 
-    def _stop_watcher(self) -> None:
-        watcher = self._watcher
-        if watcher is None:
-            return
-        self._doorbell.ring()
-        watcher.join(timeout=2.0)
-        self._watcher = None
+    def _ring_own(self) -> None:
+        """Wake this handle's watcher (a no-op before the first wait)."""
+        with self._bell_lock:
+            if self._fifo_fd is not None:
+                _ring_fd(self._fifo_fd)
+
+    def _ring_bells(self, slots: list[int]) -> None:
+        """Write one byte to each of ``slots``' FIFOs, waking their watchers.
+
+        Writer fds are cached per slot and keyed by the slot's owner
+        pid, so a slot reclaimed by a new process is reopened.  A full
+        FIFO already holds a pending wake; a missing FIFO or one nobody
+        reads has no watcher to wake.  Both are no-ops.
+        """
+        pids = self._pids
+        with self._bell_lock:
+            fds = self._bell_fds
+            if fds is None:  # closed
+                return
+            for index in slots:
+                pid = pids[index]
+                cached = fds.get(index)
+                if cached is not None:
+                    if cached[0] == pid and _ring_fd(cached[1]):
+                        continue
+                    # A new owner, or the same pid behind a new FIFO.
+                    del fds[index]
+                    os.close(cached[1])
+                try:
+                    fd = os.open(_fifo_path(self._name, index),
+                                 os.O_WRONLY | os.O_NONBLOCK)
+                except OSError:  # ENOENT / ENXIO: no watcher to wake
+                    continue
+                fds[index] = (pid, fd)
+                _ring_fd(fd)
 
     # ---------------------------------------------------------- introspection
 

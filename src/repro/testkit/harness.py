@@ -17,7 +17,7 @@ Real blocking is the hard part of scheduling *real* primitives: a
 granted worker may vanish into ``Condition.wait`` or block on a lock a
 gated worker holds.  The controller never tries to prevent that — it
 detects it.  A grant through a known-blocking point (``park.enter``,
-``multiwait.park``, ``doorbell.wait``) marks the worker off-schedule
+``multiwait.park``) marks the worker off-schedule
 immediately; any other granted worker that fails to reach its next gate
 within ``stall_timeout`` is presumed blocked and scheduling moves on.  A
 blocked worker that later surfaces at a gate rejoins the schedule
@@ -32,7 +32,7 @@ to the wheel) the schedule is reported **instantly** as a
 :class:`ScheduleDeadlock` carrying a structured :class:`DeadlockReport`
 — who is parked where, and who waits on what level of which counter.
 Only when some worker is blocked in an *unknown* primitive (a plain
-lock, a doorbell with a private timeout) does the controller fall back
+lock, a condition with a private timeout) does the controller fall back
 to the conservative no-progress-for-``deadlock_timeout`` heuristic.
 
 Every grant is recorded; :attr:`Controller.trace` is the compact
@@ -682,7 +682,7 @@ class Controller:
         instant = (
             bool(blocked)
             and all(
-                w.blocked_known and w.point in syncpoints.ENGINE_PARK_POINTS
+                w.blocked_known and w.point in syncpoints.BLOCKING_POINTS
                 for w in blocked
             )
             and wheel().armed_count() == 0

@@ -68,7 +68,6 @@ _OBJECT_SCOPED_PREFIXES = (
     "shard.",
     "sharded.",
     "gcounter.",
-    "doorbell.",
     "wheel.",
 )
 
@@ -118,11 +117,8 @@ VALUE_READ_COMPAT = frozenset(
         "park.adjudicate",
         "subscribe.lock",
         "subscribe.cancel",
-        # Engine plumbing mutates slots/tokens/claims, never a value a
+        # Engine plumbing mutates slots/claims, never a value a
         # fast-path read could observe.
-        "doorbell.ring",
-        "doorbell.deliver",
-        "doorbell.wait",
         "wheel.release",
         "wheel.timeout",
     }

@@ -1,10 +1,11 @@
 """ShmCounter: the shared-memory fabric across real processes.
 
-Covers the lifecycle (publish/attach/close/unlink), single- and
-multi-process increment/check, the doorbell and watcher wakeup paths,
-crash-orphan slot reclamation (a SIGKILLed writer's slot is reclaimed
-with its value intact — readers never observe a decrease), and the
-observability surface.
+Covers the lifecycle (publish/attach/close/unlink, including the
+per-slot wake FIFOs), single- and multi-process increment/check, the
+FIFO kernel wake and the watcher's ceiling poll, crash-orphan slot
+reclamation (a SIGKILLed writer's slot is reclaimed with its value
+intact — readers never observe a decrease), and the observability
+surface.
 
 Workers are module-level functions under the ``fork`` start method
 (children inherit ``sys.path``); every child interaction is bounded by
@@ -13,15 +14,20 @@ timeouts so a fabric bug fails the test instead of hanging the suite.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing
 import os
+import resource
 import signal
+import sys
+import tempfile
 import time
 
 import pytest
 
 from repro.core.errors import CheckTimeout, CounterValueError
 from repro.dist import ShmCounter
+from repro.dist import shm as shm_mod
 from tests.helpers import join_all, spawn, wait_until
 
 ctx = multiprocessing.get_context("fork")
@@ -49,6 +55,41 @@ def _crash_loop(name: str, started) -> None:  # pragma: no cover - SIGKILLed
     started.set()
     while True:
         counter.increment()
+
+
+def _wait_then_hang(name: str, woke) -> None:  # pragma: no cover - SIGKILLed
+    counter = ShmCounter.attach(name)
+    counter.check(1, timeout=30)
+    woke.set()
+    counter.check(1 << 40)  # parked, FIFO open, until SIGKILLed
+
+
+def _sigkill(proc) -> None:
+    if proc.is_alive():
+        os.kill(proc.pid, signal.SIGKILL)
+    proc.join(10)
+
+
+def _parked(counter: ShmCounter) -> bool:
+    return counter._mirror.snapshot().total_waiters >= 1
+
+
+def _fifos(name: str) -> list[str]:
+    return glob.glob(os.path.join(tempfile.gettempdir(), f"repro-shm-{name}-*.fifo"))
+
+
+def _fds_naming(name: str) -> list[str]:
+    """Targets of this process's open fds that mention segment ``name``
+    (its shm mapping and its FIFOs, deleted or not)."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if name in target:
+            found.append(target)
+    return found
 
 
 def _monotone_reader(name: str, stop_at: int, violations) -> None:
@@ -312,3 +353,192 @@ class TestObservability:
             owner.increment(49)
             child.join(30)
             assert child.exitcode == 0
+
+
+class TestFifoWake:
+    """The per-slot FIFO: a remote increment wakes the parked process's
+    watcher through the kernel; the ceiling poll is only the backstop."""
+
+    def test_remote_increment_wakes_without_a_poll(self, monkeypatch):
+        monkeypatch.setattr(shm_mod, "_POLL_MAX", 30.0)
+        with ShmCounter.publish(slots=2) as owner:
+            other = ShmCounter.attach(owner.name)
+            try:
+                waiter = spawn(owner.check, 1)
+                wait_until(lambda: _parked(owner))
+                # Stay parked a while first: a poll that backs off while
+                # idle would by now sleep longer than the bound below.
+                time.sleep(2.0)
+                other.increment()
+                join_all([waiter], timeout=1.0)
+            finally:
+                other.close()
+
+    def test_ceiling_poll_wakes_without_the_fifo_write(self, monkeypatch):
+        monkeypatch.setattr(ShmCounter, "_ring_bells", lambda self, slots: None)
+        with ShmCounter.publish(slots=2) as owner:
+            other = ShmCounter.attach(owner.name)
+            try:
+                waiter = spawn(owner.check, 1)
+                wait_until(lambda: _parked(owner))
+                other.increment()
+                join_all([waiter], timeout=5.0)
+            finally:
+                other.close()
+
+    def test_waiter_after_the_watcher_went_idle_rings_it(self, monkeypatch):
+        """With no FIFO bytes from writers, only the idle watcher's own
+        ring puts it back on its ceiling poll; without that ring the
+        second wait would never be noticed."""
+        monkeypatch.setattr(ShmCounter, "_ring_bells", lambda self, slots: None)
+        with ShmCounter.publish(slots=2) as owner:
+            other = ShmCounter.attach(owner.name)
+            try:
+                for level in (1, 2):
+                    waiter = spawn(owner.check, level)
+                    wait_until(lambda: _parked(owner))
+                    other.increment()
+                    join_all([waiter], timeout=5.0)
+                    wait_until(lambda: owner._watch_idle)
+            finally:
+                other.close()
+
+    def test_waiter_does_not_ring_a_watcher_in_its_timed_wait(self, monkeypatch):
+        rings = []
+        ring_own = ShmCounter._ring_own
+        monkeypatch.setattr(ShmCounter, "_ring_own",
+                            lambda self: (rings.append(1), ring_own(self)))
+        with ShmCounter.publish(slots=2) as owner:
+            other = ShmCounter.attach(owner.name)
+            try:
+                first = spawn(owner.check, 5)
+                wait_until(lambda: _parked(owner))
+                before = len(rings)
+                second = spawn(owner.check, 3)
+                wait_until(lambda: owner._mirror.snapshot().total_waiters >= 2)
+                assert len(rings) == before
+                assert not owner._watch_idle
+                other.increment(5)
+                join_all([first, second], timeout=5.0)
+            finally:
+                other.close()
+
+    def test_waiter_on_a_reclaimed_slot_is_woken(self, monkeypatch):
+        """A SIGKILLed waiter's slot is reclaimed; the writer's cached fd
+        for the dead pid is dropped and the new owner's FIFO is rung."""
+        monkeypatch.setattr(shm_mod, "_POLL_MAX", 30.0)
+        with ShmCounter.publish(slots=2) as owner:
+            woke = ctx.Event()
+            child = ctx.Process(target=_wait_then_hang, args=(owner.name, woke))
+            child.start()
+            try:
+                wait_until(lambda: any(s.awaited == 1 for s in owner.slot_snapshot()))
+                owner.increment()  # wakes the child through its FIFO
+                assert woke.wait(10)
+                assert owner._bell_fds[1][0] == child.pid
+            finally:
+                _sigkill(child)
+
+            successor = ShmCounter.attach(owner.name)
+            try:
+                assert successor.slot == 1
+                waiter = spawn(successor.check, 2)
+                wait_until(lambda: _parked(successor))
+                owner.increment()
+                join_all([waiter], timeout=1.0)
+                assert owner._bell_fds[1][0] == os.getpid()
+            finally:
+                successor.close()
+
+    def test_wake_with_fifo_fd_past_1023(self):
+        """The watcher's wait takes any fd number (``select`` would
+        reject one past FD_SETSIZE and kill the watcher)."""
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("needs an open-file limit above 1200")
+        filler = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+        try:
+            with ShmCounter.publish(slots=2) as owner:
+                other = ShmCounter.attach(owner.name)
+                try:
+                    waiter = spawn(owner.check, 1)
+                    wait_until(lambda: _parked(owner))
+                    assert owner._fifo_fd > 1023
+                    other.increment()
+                    join_all([waiter], timeout=5.0)
+                finally:
+                    other.close()
+        finally:
+            for fd in filler:
+                os.close(fd)
+
+    def test_close_leaves_no_fd_and_no_fifo(self):
+        owner = ShmCounter.publish(slots=2)
+        other = ShmCounter.attach(owner.name)
+        name = owner.name
+        try:
+            # Park on each handle in turn: both make their FIFO, and each
+            # caches a writer fd for the other's.
+            for waiting, writer in ((owner, other), (other, owner)):
+                waiter = spawn(waiting.check, waiting.value + 1)
+                wait_until(lambda: _parked(waiting))
+                writer.increment()
+                join_all([waiter])
+            assert len(_fifos(name)) == 2
+            assert _fds_naming(name)
+        finally:
+            other.close()
+            owner.close()
+            owner.unlink()
+        assert _fds_naming(name) == []
+        assert _fifos(name) == []
+
+    def test_concurrent_ringers_share_one_cached_fd(self):
+        """Many threads incrementing one handle while several threads on
+        another wait on rising levels: every wait is met, and the shared
+        writer-fd cache neither leaks nor double-closes an fd."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        owner = ShmCounter.publish(slots=2)
+        other = ShmCounter.attach(owner.name)
+        name = owner.name
+        rounds, nwriters = 200, 8
+        total = rounds * nwriters
+        finished = []
+
+        def wait_rising(step):
+            for level in range(step, total + 1, step):
+                owner.check(level, timeout=20)
+            finished.append(step)
+
+        def write():
+            for _ in range(rounds):
+                other.increment()
+
+        try:
+            waiters = [spawn(wait_rising, step) for step in (1, 3, 7, 50)]
+            writers = [spawn(write) for _ in range(nwriters)]
+            join_all(writers + waiters, timeout=60)
+            assert sorted(finished) == [1, 3, 7, 50]
+            assert owner.value == total
+            assert len(other._bell_fds) <= 1  # one slot rung, one fd
+        finally:
+            sys.setswitchinterval(old)
+            other.close()
+            owner.close()
+            owner.unlink()
+        assert _fds_naming(name) == []
+
+    def test_unlink_removes_a_dead_owners_fifo(self):
+        with ShmCounter.publish(slots=2) as owner:
+            name = owner.name
+            woke = ctx.Event()
+            child = ctx.Process(target=_wait_then_hang, args=(name, woke))
+            child.start()
+            try:
+                wait_until(lambda: any(s.awaited == 1 for s in owner.slot_snapshot()))
+                owner.increment()
+                assert woke.wait(10)
+            finally:
+                _sigkill(child)
+            assert len(_fifos(name)) == 1  # nobody closed it
+        assert _fifos(name) == []

@@ -1,50 +1,22 @@
-"""PR-7 engine races, ported onto the exhaustive explorer.
+"""The engine's wheel-entry claim race, on the exhaustive explorer.
 
-The doorbell pop-claim race and the wheel-entry release-vs-timeout claim
-were originally pinned as a handful of scripted schedules.  Here the
-*whole* schedule space of each race is enumerated: every inequivalent
-interleaving, with the exhaustiveness certificate asserted, so the claim
-invariants ("exactly one winner", "no double set") are proven over the
-space rather than spot-checked.
+The release-vs-timeout claim was originally pinned as a handful of
+scripted schedules.  Here the *whole* schedule space of the race is
+enumerated: every inequivalent interleaving, with the exhaustiveness
+certificate asserted, so the claim invariants ("exactly one winner",
+"no double set") are proven over the space rather than spot-checked.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import Doorbell, ParkingSlot, WheelEntry
+from repro.core.engine import ParkingSlot, WheelEntry
 from repro.testkit import explore_model
 
 pytestmark = pytest.mark.explore
 
 FAST = dict(settle=0.004, stall_timeout=0.008)
-
-
-def doorbell_model():
-    """Two ringers race the one-shot pending token; one waiter consumes.
-
-    Deliveries depend on the schedule: rings racing the same armed token
-    collapse into one delivery; a ring after the waiter consumed (and
-    re-armed) delivers again, banking a second set.
-    """
-    bell = Doorbell()
-    delivered = {}
-
-    def ringer(name):
-        delivered[name] = bell.ring()
-
-    def oracle(controller):
-        wins = sum(delivered.values())
-        # At least one ring always delivers; both only when the waiter's
-        # consumption re-armed the token in between.
-        assert wins in (1, 2), delivered
-        return wins
-
-    return {
-        "r1": (ringer, "r1"),
-        "r2": (ringer, "r2"),
-        "w": bell.wait,
-    }, oracle
 
 
 def wheel_claim_model():
@@ -62,16 +34,6 @@ def wheel_claim_model():
         "rel": entry.release_wake,
         "tmo": entry.fire_timeout,
     }, oracle
-
-
-def test_doorbell_ring_race_exhaustive():
-    report = explore_model(doorbell_model, **FAST)
-    report.check()
-    assert "EXHAUSTIVE" in report.certificate
-    # Both outcomes are reachable: coalesced rings (1 delivery) and
-    # consume-then-ring-again (2 deliveries).
-    assert report.states == {1, 2}
-    assert report.schedules >= 4
 
 
 def test_wheel_release_vs_timeout_exhaustive():

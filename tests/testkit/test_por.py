@@ -67,8 +67,8 @@ class TestDependence:
         assert footprints_conflict(("increment.lock", "o0"), ("check.lock", "o0"))
         assert not footprints_conflict(("increment.lock", "o0"), ("park.enter", "o0"))
         assert not footprints_conflict(("start", None), ("start", None))
-        assert footprints_conflict(("doorbell.ring", "o0"), ("doorbell.wait", "o0"))
-        assert not footprints_conflict(("doorbell.ring", "o0"), ("doorbell.wait", "o1"))
+        assert footprints_conflict(("wheel.release", "o0"), ("wheel.timeout", "o0"))
+        assert not footprints_conflict(("wheel.release", "o0"), ("wheel.timeout", "o1"))
 
 
 class TestObjLabeler:
