@@ -153,33 +153,33 @@ class AsyncCounter:
         self._value = new_value
         if self._stats_on:
             self.stats.increments += 1
-        inc_seq: int | None = None
-        if _obs.enabled:
-            inc_seq = _obs.on_increment(self, amount, new_value)
+        nodes = None
         if amount and self._levels:
-            released = [lv for lv in self._levels if lv <= new_value]
-            if released:
-                nodes = [self._levels.pop(lv) for lv in released]
+            satisfied = [lv for lv in self._levels if lv <= new_value]
+            if satisfied:
+                nodes = [self._levels.pop(lv) for lv in satisfied]
                 if self._stats_on:
                     for node in nodes:
                         self.stats.nodes_released += 1
                         self.stats.threads_woken += node.count
-                if _obs.enabled:
-                    # Stamps released_ts before any event is set, so woken
-                    # coroutines can report release-to-resume latency.
-                    # (No deferred construction here: the event loop is
-                    # single-threaded, so nothing races the set() loop.)
-                    _obs.on_release(self, new_value, nodes, cause_seq=inc_seq)
-                for node in nodes:
-                    node.event.set()
-                    subscribers = node.subscribers
-                    if subscribers:
-                        if _obs.enabled:
-                            _obs.on_sub_fire(self, node.level, len(subscribers),
-                                             token=node.token)
-                        node.subscribers = None
-                        for callback in subscribers:
-                            callback()
+        if nodes:
+            # Stamps released_ts before any event is set, so woken
+            # coroutines can report release-to-resume latency.
+            obs_ctx = _obs.on_release_stamp(nodes) if _obs.enabled else None
+            for node in nodes:
+                node.event.set()
+                subscribers = node.subscribers
+                if subscribers:
+                    if _obs.enabled:
+                        _obs.on_sub_fire(self, node.level, len(subscribers),
+                                         token=node.token)
+                    node.subscribers = None
+                    for callback in subscribers:
+                        callback()
+            if obs_ctx is not None:
+                _obs.on_increment_released(self, amount, new_value, obs_ctx)
+        elif _obs.enabled:
+            _obs.on_increment(self, amount, new_value)
         return new_value
 
     async def check(self, level: int, timeout: float | None = None) -> None:
@@ -225,19 +225,14 @@ class AsyncCounter:
                         if self._stats_on:
                             self.stats.timeouts += 1
                         if _obs.enabled:
-                            waited = None if t_parked is None else _obs.clock() - t_parked
-                            _obs.on_timeout(self, level, self._value, waited,
+                            _obs.on_timeout(self, level, self._value, t_parked,
                                             token=node.token)
                         raise CheckTimeout(
                             f"{self!r}: check({level}) timed out after {timeout}s "
                             f"(value={self._value})"
                         ) from None
             if _obs.enabled:
-                now = _obs.clock()
-                wait_s = None if t_parked is None else now - t_parked
-                released_ts = node.released_ts
-                wakeup_s = None if released_ts is None else now - released_ts
-                _obs.on_unpark(self, level, wait_s, wakeup_s, token=node.token, ts=now)
+                _obs.on_wake(self, node, level, t_parked)
         finally:
             node.count -= 1
             if node.count == 0 and not node.event.is_set() and not node.subscribers:

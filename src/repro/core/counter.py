@@ -564,17 +564,7 @@ class MonotonicCounter(AbstractCounter):
             # set, so the genuine wakeup always passes.
             while not node.signaled:
                 slot.block()
-            # _finish_wake, inlined: the untimed resume is the hottest
-            # wake path in the package and every frame on it is serial
-            # handoff latency.  Keep in lockstep with _finish_wake.
-            if _obs.enabled:
-                _obs.on_wake(self, node, level, t_parked)
-            countdown = node.countdown
-            countdown.pop()
-            if not countdown:
-                if _sp.enabled:
-                    _sp.fire("park.drain", self)
-                self._draining.pop(id(node), None)
+            self._finish_wake(node, level, t_parked)
             return
         slot = waiter
         if timeout != 0.0:
@@ -585,16 +575,7 @@ class MonotonicCounter(AbstractCounter):
             if slot.block(True, timeout if timeout < grace else grace):
                 while not node.signaled:  # stray set; see above
                     slot.block()
-                # _finish_wake, inlined — same rationale as the untimed
-                # branch: a released timed wait is a hot resume too.
-                if _obs.enabled:
-                    _obs.on_wake(self, node, level, t_parked)
-                countdown = node.countdown
-                countdown.pop()
-                if not countdown:
-                    if _sp.enabled:
-                        _sp.fire("park.drain", self)
-                    self._draining.pop(id(node), None)
+                self._finish_wake(node, level, t_parked)
                 return
             if timeout >= grace:
                 # Stage two: the wait outlived the grace — vector the
@@ -630,15 +611,7 @@ class MonotonicCounter(AbstractCounter):
                         slot.block()
                     if entry.why == "release":
                         _wheel_cancel(entry)
-                        # _finish_wake, inlined — as above.
-                        if _obs.enabled:
-                            _obs.on_wake(self, node, level, t_parked)
-                        countdown = node.countdown
-                        countdown.pop()
-                        if not countdown:
-                            if _sp.enabled:
-                                _sp.fire("park.drain", self)
-                            self._draining.pop(id(node), None)
+                        self._finish_wake(node, level, t_parked)
                         return
                     # The timer won the claim: provisional verdict only.
                     if _sp.enabled:
@@ -712,8 +685,7 @@ class MonotonicCounter(AbstractCounter):
             # Genuine timeout, fully deregistered above; the emission and
             # the raise both happen with no lock held.
             if _obs.enabled:
-                waited = None if t_parked is None else _obs.clock() - t_parked
-                _obs.on_timeout(self, level, expired_value, waited, token=node.token)
+                _obs.on_timeout(self, level, expired_value, t_parked, token=node.token)
             raise CheckTimeout(
                 f"{self!r}: check({level}) timed out after {timeout}s "
                 f"(value={expired_value})"
@@ -733,7 +705,9 @@ class MonotonicCounter(AbstractCounter):
     def _finish_wake(self, node: WaitNode, level: int, t_parked: float | None) -> None:
         """Success-path bookkeeping after a wake (or adjudicated release).
 
-        Lock-free: the countdown list was frozen inside the releasing
+        The one resume step: each of :meth:`_park`'s released branches
+        (untimed, grace-window, wheel-escalated) and the adjudicated
+        release end here.  Lock-free: the countdown list was frozen inside the releasing
         increment's critical section, every resuming waiter pops exactly
         one token (``list.pop`` is atomic), and the popper that empties
         it drops the draining entry (atomic ``dict.pop``; the insert
@@ -992,18 +966,13 @@ class BroadcastCounter(AbstractCounter):
                             if self._stats_on:
                                 self.stats.timeouts += 1
                             if _obs.enabled:
-                                waited = (
-                                    None if t_parked is None else _obs.clock() - t_parked
-                                )
-                                _obs.on_timeout(self, level, self._value, waited)
+                                _obs.on_timeout(self, level, self._value, t_parked)
                             raise CheckTimeout(
                                 f"{self!r}: check({level}) timed out after {timeout}s "
                                 f"(value={self._value})"
                             )
                 if _obs.enabled:
-                    now = _obs.clock()
-                    wait_s = None if t_parked is None else now - t_parked
-                    _obs.on_unpark(self, level, wait_s, None, ts=now)
+                    _obs.on_wake(self, None, level, t_parked)
             finally:
                 self._waiting -= 1
 

@@ -47,17 +47,19 @@ are tuned to the same standard as the paths they observe:
   the ring's lifetime tally is recovered from the seq watermark rather
   than paid per emit — which is why **every** ``next_seq()`` call here
   is paired with exactly one emit.  Unused fields are spelled ``None``
-  explicitly; keep the order in lockstep with
-  :class:`~repro.obs.events.Event` if the schema grows.
+  explicitly, and the tuples follow :class:`~repro.obs.events.Event`'s
+  field order.
 * The label → metrics-series resolution is memoized per primitive in
   its ``_obs_chan`` slot as ``(generation, label, series, wait_append,
   wakeup_append)`` — the last two are the latency histograms' bound
   staging-deque appends, so the unpark sites record a latency sample
   with one C call; :func:`enable`/:func:`disable` bump the generation,
   invalidating every cache at once (see :func:`_chan`).
-* The hottest sites (:func:`on_park`, :func:`on_wake`) inline the
-  high-water update — keep them in lockstep with
-  ``CounterMetrics.note_levels``.
+* Each wait-path step has one emitter, shared by every counter kind:
+  :func:`on_park`; :func:`on_release_stamp` before the signal pass and
+  :func:`on_increment_released` after it; :func:`on_wake` for every
+  resume (``node=None`` for :class:`~repro.core.counter.BroadcastCounter`,
+  which has no wait node); and :func:`on_timeout`.
 """
 
 from __future__ import annotations
@@ -234,39 +236,8 @@ def on_increment(counter: object, amount: int, value: int) -> int | None:
     return None
 
 
-def on_release(
-    counter: object, value: int, released: list, cause_seq: int | None = None
-) -> None:
-    """Satisfied nodes were unlinked; stamps each node's release time.
-
-    Runs after the increment's critical section, before the coalesced
-    signal pass, so the release timestamp brackets the whole wakeup path
-    the ``wakeup_latency`` histogram measures.  Used by the asyncio
-    counter, whose signal pass is a synchronous ``Event.set`` loop; the
-    threaded counter uses the split :func:`on_release_stamp` /
-    :func:`on_increment_released` pair instead so event construction
-    stays out of the release→signal handoff window.
-    """
-    now = clock()
-    ch = _chan(counter)
-    series = ch[2]
-    if series is not None:
-        series.releases += len(released)
-    emit = _emit
-    ident = _get_ident() if emit is not None else 0
-    ctx = getattr(_wire_local, "ctx", None) if emit is not None else None
-    corr = None if ctx is None else ctx.corr
-    for node in released:
-        node.released_ts = now
-        if emit is not None:
-            emit((now, "release", ch[1], ident,
-                  node.level, value, node.count, None,
-                  None, None, next_seq(), node.token, cause_seq,
-                  None, None, corr))
-
-
 def on_release_stamp(released: list) -> tuple:
-    """Pre-signal half of a threaded release: stamp, don't construct.
+    """Pre-signal half of a release: stamp, don't construct.
 
     Runs between the increment's critical section and the coalesced
     signal pass.  Deliberately minimal — one ``clock()`` read, the
@@ -363,11 +334,7 @@ def on_park(
     series = ch[2]
     if series is not None:
         series.parks += 1
-        # note_levels, inlined (racy high-water updates; see metrics.py).
-        if live_levels > series.live_levels_hw:
-            series.live_levels_hw = live_levels
-        if live_waiters > series.live_waiters_hw:
-            series.live_waiters_hw = live_waiters
+        series.note_levels(live_levels, live_waiters)
     emit = _emit
     if emit is not None:
         emit((now, "park", ch[1], _get_ident(),
@@ -376,49 +343,26 @@ def on_park(
     return now
 
 
-def on_unpark(
-    counter: object, level: int, wait_s: float | None, wakeup_s: float | None,
-    token: int | None = None, ts: float | None = None,
-) -> None:
+def on_wake(counter: object, node: object | None, level: int,
+            t_parked: float | None) -> None:
     """A suspended check resumed (normal wakeup or adjudicated success).
 
-    ``wait_s`` is park-to-unpark (None when obs was enabled mid-wait);
-    ``wakeup_s`` is release-to-unpark (None when the releasing increment
-    predates enablement, or on the adjudicated path where the release
-    timestamp may not have been stamped yet).  ``ts`` lets a caller that
-    already read the clock (to compute those latencies) stamp the event
-    without a second read.
-    """
-    ch = _chan(counter)
-    if ch[2] is not None:
-        ch[2].unparks += 1
-        if wait_s is not None:
-            ch[3](wait_s)
-        if wakeup_s is not None and wakeup_s >= 0.0:
-            ch[4](wakeup_s)
-    emit = _emit
-    if emit is not None:
-        emit((ts if ts is not None else clock(), "unpark",
-              ch[1], _get_ident(),
-              level, None, None, None,
-              wait_s, wakeup_s, next_seq(), token, None, None, None, None))
-
-
-def on_wake(counter: object, node: object, level: int,
-            t_parked: float | None) -> None:
-    """A suspended counter check resumed: the fused unpark emission.
-
-    Semantically ``on_unpark`` with the latency math pulled in — the
-    caller passes its wait node and park timestamp and this one call
-    reads the clock, derives ``wait_s``/``wakeup_s`` (``None`` when obs
-    was enabled mid-wait / mid-release), and emits.  Exists because the
-    unpark site sits on the serial wakeup path the handoff bench
-    measures; keep the body in lockstep with :func:`on_unpark`.
+    ``t_parked`` is :func:`on_park`'s return.  ``wait_s`` is
+    park-to-unpark, ``None`` when obs was enabled mid-wait.
+    ``wakeup_s`` is release-to-unpark, read off the wait node's
+    ``released_ts``, ``None`` when the releasing increment predates
+    enablement or has not stamped it yet (a wheel-mode adjudicated
+    release can resume first).  ``node`` is ``None`` for a counter without wait nodes;
+    the event's token and ``wakeup_s`` are then ``None`` too.
     """
     now = clock()
     wait_s = None if t_parked is None else now - t_parked
-    released_ts = node.released_ts
-    wakeup_s = None if released_ts is None else now - released_ts
+    if node is None:
+        token = wakeup_s = None
+    else:
+        token = node.token
+        released_ts = node.released_ts
+        wakeup_s = None if released_ts is None else now - released_ts
     ch = _chan(counter)
     if ch[2] is not None:
         ch[2].unparks += 1
@@ -430,7 +374,7 @@ def on_wake(counter: object, node: object, level: int,
     if emit is not None:
         emit((now, "unpark", ch[1], _get_ident(),
               level, None, None, None,
-              wait_s, wakeup_s, next_seq(), node.token, None,
+              wait_s, wakeup_s, next_seq(), token, None,
               None, None, None))
 
 
@@ -448,10 +392,16 @@ def on_spin_exhausted(counter: object, level: int, budget: int) -> None:
 
 
 def on_timeout(
-    counter: object, level: int, value: int, waited_s: float | None,
+    counter: object, level: int, value: int, t_parked: float | None,
     token: int | None = None,
 ) -> None:
-    """A check's wait genuinely expired (adjudicated under the counter lock)."""
+    """A check's wait genuinely expired (adjudicated under the counter lock).
+
+    ``t_parked`` is :func:`on_park`'s return; the waited time is
+    measured from it (``None`` when obs was enabled mid-wait).
+    """
+    now = clock()
+    waited_s = None if t_parked is None else now - t_parked
     src = label(counter)
     metrics = _metrics
     if metrics is not None:
@@ -461,7 +411,7 @@ def on_timeout(
             series.wait_latency.observe(waited_s)
     emit = _emit
     if emit is not None:
-        emit((clock(), "timeout", src, _get_ident(),
+        emit((now, "timeout", src, _get_ident(),
               level, value, None, None,
               waited_s, None, next_seq(), token, None, None, None, None))
 

@@ -45,7 +45,7 @@ from repro.core import counter as counter_mod
 from repro.core.engine import WheelEntry
 from repro.simthread import SimCounter
 from repro.verify import ExplorerProgram, explore
-from tests.helpers import join_all, spawn, wait_until
+from tests.helpers import join_all, registered_handles, spawn, wait_until
 
 
 class ScriptedParkCounter(MonotonicCounter):
@@ -165,16 +165,6 @@ class TestScriptedInterleavings:
         _quiescent(counter)
 
 
-def _registered_handles(counter):
-    """Every engine handle currently registered on the counter's nodes."""
-    handles = []
-    node = counter._waiters._head
-    while node is not None:
-        handles.extend(node.waiters)
-        node = node.next
-    return handles
-
-
 class TestWheelEscalation:
     """Staged parking's stage two: a timed wait that outlives the
     slot-mode grace must swap its registered slot for a claim-guarded
@@ -193,7 +183,7 @@ class TestWheelEscalation:
         # escalation: the registered ParkingSlot becomes a WheelEntry.
         wait_until(
             lambda: any(
-                type(h) is WheelEntry for h in _registered_handles(counter)
+                type(h) is WheelEntry for h in registered_handles(counter)
             )
         )
         counter.increment(1)

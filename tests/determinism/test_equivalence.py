@@ -1,4 +1,4 @@
-"""Tests for determinacy-over-runs and sequential equivalence (§6)."""
+"""Tests for determinacy-over-runs, sequential equivalence and sequential executability (§6)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.determinism import (
     collect_results,
     is_deterministic,
     scheduling_jitter,
+    sequentially_executable,
 )
 from repro.structured import multithreaded
 
@@ -150,3 +151,46 @@ class TestSequentialEquivalence:
         # Smoke only: returns quickly and never raises for sane args.
         scheduling_jitter(0.0)
         scheduling_jitter(0.0001)
+
+
+class TestSequentiallyExecutable:
+    def test_section5_programs_are(self):
+        from repro.apps.accumulate import accumulate_counter, float_sum
+
+        assert sequentially_executable(
+            lambda: accumulate_counter([1.0, 2.0, 3.0], float_sum, 0.0)
+        )
+
+    def test_broadcast_is(self):
+        from repro.patterns import SingleWriterBroadcast
+        from repro.structured import multithreaded
+
+        def program():
+            bc = SingleWriterBroadcast(5)
+
+            def writer():
+                for i in range(5):
+                    bc.publish(i)
+
+            def reader():
+                return list(bc.read())
+
+            multithreaded(writer, reader)
+
+        assert sequentially_executable(program)
+
+    def test_floyd_warshall_counter_version_is_not(self):
+        """The §6 boundary case: deterministic but not sequentially
+        executable (thread 0 needs a row thread 1 produces)."""
+        from repro.apps.floyd_warshall import figure1_edge, shortest_paths_counter
+
+        assert not sequentially_executable(
+            lambda: shortest_paths_counter(figure1_edge(), num_threads=3),
+            budget=0.5,
+        )
+
+    def test_failing_program_is_not(self):
+        def program():
+            raise ValueError("broken")
+
+        assert not sequentially_executable(program)

@@ -36,3 +36,13 @@ def wait_until(predicate: Callable[[], bool], timeout: float = 10.0, interval: f
             return
         time.sleep(interval)
     raise AssertionError("condition not reached before timeout")
+
+
+def registered_handles(counter) -> list:
+    """Every engine handle registered on a linked counter's wait nodes."""
+    handles = []
+    node = counter._waiters._head
+    while node is not None:
+        handles.extend(node.waiters)
+        node = node.next
+    return handles

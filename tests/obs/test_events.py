@@ -11,18 +11,26 @@ mid-wait).
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 import repro.obs as obs
+from repro.aio import AsyncCounter
 from repro.core import (
+    BroadcastCounter,
     CheckTimeout,
     MonotonicCounter,
     MultiWait,
+    PARK_ONLY,
     ShardedCounter,
     WaitPolicy,
 )
+from repro.core import counter as counter_mod
+from repro.core.engine import ParkingSlot, WheelEntry
 from repro.obs import KINDS, Event, TraceBuffer
-from tests.helpers import join_all, spawn, wait_until
+from repro.testkit import assert_counter_quiescent
+from tests.helpers import join_all, registered_handles, spawn, wait_until
 
 
 def _kinds(handle, source=None):
@@ -157,26 +165,77 @@ class TestEnableDisable:
         assert any(e.source == "it-counter" for e in obs.iter_trace())
 
 
-class TestCounterEmitsTheAdvertisedKinds:
-    def test_park_release_unpark_round_trip(self):
-        handle = obs.enable()
-        counter = MonotonicCounter(name="rt-counter")
-        waiter = spawn(counter.check, 2)
-        wait_until(lambda: counter.snapshot().total_waiters == 1)
+def _threaded_round_trip(counter):
+    waiter = spawn(counter.check, 2)
+    wait_until(lambda: counter.snapshot().total_waiters == 1)
+    counter.increment(2)
+    join_all([waiter])
+
+
+def _async_round_trip():
+    async def round_trip():
+        counter = AsyncCounter(name="rt-counter")
+        waiter = asyncio.ensure_future(counter.check(2))
+        while counter.snapshot().total_waiters != 1:
+            await asyncio.sleep(0)
         counter.increment(2)
-        join_all([waiter])
+        await asyncio.wait_for(waiter, 10.0)
 
-        kinds = _kinds(handle, "rt-counter")
-        for kind in ("park", "increment", "release", "unpark"):
-            assert kind in kinds, kinds
-        assert set(kinds) <= KINDS
+    asyncio.run(round_trip())
 
-        [unpark] = [e for e in handle.trace if e.kind == "unpark"]
+
+#: One park -> increment -> unpark on a counter named "rt-counter", per
+#: counter kind.
+_ROUND_TRIPS = {
+    "linked": lambda: _threaded_round_trip(
+        MonotonicCounter(name="rt-counter", strategy="linked")),
+    "heap": lambda: _threaded_round_trip(
+        MonotonicCounter(name="rt-counter", strategy="heap")),
+    "broadcast": lambda: _threaded_round_trip(BroadcastCounter(name="rt-counter")),
+    "async": _async_round_trip,
+}
+
+
+class TestCounterEmitsTheAdvertisedKinds:
+    @pytest.mark.parametrize("kind", sorted(_ROUND_TRIPS))
+    def test_park_release_unpark_round_trip(self, kind):
+        """A counter with wait nodes also emits one ``release`` caused by
+        the increment, and its unpark carries the park's token and a
+        measured ``wakeup_s``.  :class:`BroadcastCounter` has no node, so
+        it emits no release and its unpark carries neither."""
+        handle = obs.enable()
+        _ROUND_TRIPS[kind]()
+        has_node = kind != "broadcast"
+
+        events = sorted(
+            (e for e in handle.trace if e.source == "rt-counter"), key=lambda e: e.seq
+        )
+        assert {e.kind for e in events} <= KINDS
+        [park] = [e for e in events if e.kind == "park"]
+        [increment] = [e for e in events if e.kind == "increment"]
+        [unpark] = [e for e in events if e.kind == "unpark"]
+        releases = [e for e in events if e.kind == "release"]
+        assert increment.seq < unpark.seq
         assert unpark.wait_s is not None and unpark.wait_s >= 0.0
-        # The wakeup path: release stamped the node before signal.
-        assert unpark.wakeup_s is not None and unpark.wakeup_s >= 0.0
-        [release] = [e for e in handle.trace if e.kind == "release"]
-        assert release.level == 2 and release.count == 1
+        assert park.level == unpark.level == 2
+        assert unpark.token == park.token
+        if has_node:
+            [release] = releases
+            assert release.cause_seq == increment.seq
+            assert increment.seq < release.seq < unpark.seq
+            assert release.level == 2 and release.count == 1
+            assert release.token == park.token is not None
+            # The wakeup path: release stamped the node before signal.
+            assert unpark.wakeup_s is not None and unpark.wakeup_s >= 0.0
+        else:
+            assert releases == []
+            assert park.token is None
+            assert unpark.wakeup_s is None
+        tallies = handle.metrics.series("rt-counter").snapshot()
+        assert (tallies["increments"], tallies["releases"], tallies["parks"],
+                tallies["unparks"], tallies["timeouts"]) == (1, int(has_node), 1, 1, 0)
+        assert tallies["wait_latency"]["count"] == 1
+        assert tallies["wakeup_latency"]["count"] == int(has_node)
 
     def test_timeout_and_spin_exhaustion(self):
         handle = obs.enable()
@@ -228,6 +287,40 @@ class TestCounterEmitsTheAdvertisedKinds:
         assert unpark.wait_s is None
         # wakeup_s IS measurable: the release ran with obs enabled.
         assert unpark.wakeup_s is not None and unpark.wakeup_s >= 0.0
+
+
+class TestEveryResumeBranchEmitsOneUnpark:
+    """``_park`` resumes a released check on one of three branches: the
+    untimed park, a timed park released inside the slot-mode grace, and
+    a timed park released after escalating to the timer wheel.  Each
+    must emit exactly one ``unpark`` and leave the counter quiescent."""
+
+    @pytest.mark.parametrize("branch", ["untimed", "grace", "wheel"])
+    def test_one_unpark_and_quiescent(self, branch, monkeypatch):
+        if branch == "grace":
+            # A grace longer than the test: the release always lands in it.
+            monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 30.0)
+        elif branch == "wheel":
+            monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
+        timeout = None if branch == "untimed" else 60.0
+        handle = obs.enable()
+        counter = MonotonicCounter(name="branch-counter", policy=PARK_ONLY)
+        waiter = spawn(counter.check, 1, timeout)
+        if branch == "wheel":
+            # The escalation swaps the registered slot for a WheelEntry.
+            wait_until(lambda: any(
+                type(h) is WheelEntry for h in registered_handles(counter)
+            ))
+        else:
+            wait_until(lambda: counter.snapshot().total_waiters == 1)
+            assert [type(h) for h in registered_handles(counter)] == [ParkingSlot]
+        counter.increment(1)
+        join_all([waiter])
+        kinds = _kinds(handle, "branch-counter")
+        assert kinds.count("unpark") == 1, kinds
+        assert "timeout" not in kinds
+        assert handle.metrics.series("branch-counter").unparks == 1
+        assert_counter_quiescent(counter, expect_value=1)
 
 
 class TestShardedAndMultiWaitKinds:

@@ -1,10 +1,9 @@
-"""Tests for random-schedule sampling (explore_random) and new helpers."""
+"""Tests for random-schedule sampling (explore_random)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.determinism import sequentially_executable
 from repro.verify import (
     counter_ordered_program,
     explore,
@@ -66,46 +65,3 @@ class TestExploreRandom:
 
         with pytest.raises(RuntimeError, match="max_steps"):
             explore_random(factory, samples=1, max_steps=50)
-
-
-class TestSequentiallyExecutable:
-    def test_section5_programs_are(self):
-        from repro.apps.accumulate import accumulate_counter, float_sum
-
-        assert sequentially_executable(
-            lambda: accumulate_counter([1.0, 2.0, 3.0], float_sum, 0.0)
-        )
-
-    def test_broadcast_is(self):
-        from repro.patterns import SingleWriterBroadcast
-        from repro.structured import multithreaded
-
-        def program():
-            bc = SingleWriterBroadcast(5)
-
-            def writer():
-                for i in range(5):
-                    bc.publish(i)
-
-            def reader():
-                return list(bc.read())
-
-            multithreaded(writer, reader)
-
-        assert sequentially_executable(program)
-
-    def test_floyd_warshall_counter_version_is_not(self):
-        """The §6 boundary case: deterministic but not sequentially
-        executable (thread 0 needs a row thread 1 produces)."""
-        from repro.apps.floyd_warshall import figure1_edge, shortest_paths_counter
-
-        assert not sequentially_executable(
-            lambda: shortest_paths_counter(figure1_edge(), num_threads=3),
-            budget=0.5,
-        )
-
-    def test_failing_program_is_not(self):
-        def program():
-            raise ValueError("broken")
-
-        assert not sequentially_executable(program)
