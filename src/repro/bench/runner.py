@@ -203,15 +203,9 @@ def append_history(doc: dict, path: str, *, label: str | None = None) -> dict:
 
 
 def series_tables(doc: dict) -> list[str]:
-    """One rendered ops/sec table per series of result entries.
-
-    A series that is not a mapping of entries (``load_ops``'s capacity
-    steps) is left to the suite's own ``render``.
-    """
+    """One rendered ops/sec table per series of result entries."""
     tables = []
     for series_name, entries in doc["series"].items():
-        if not isinstance(entries, dict):
-            continue
         table = Table(
             f"{doc['bench']}/{series_name} (ops/sec)",
             ["implementation", "ops/sec", "basis", "median ms", "IQR ms"],

@@ -399,9 +399,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
             )
             result = run_load(
                 limiter, rate=args.rate, duration=args.duration,
-                seed=args.seed, keys=keys, mode=args.mode,
-                workers=args.workers, timeout=args.timeout,
-                observers=[tracker],
+                seed=args.seed, keys=keys, workers=args.workers,
+                timeout=args.timeout, observers=[tracker],
             )
             trace_reply = endpoint.fetch_trace()
         else:
@@ -411,9 +410,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
             try:
                 result = run_load(
                     limiter, rate=args.rate, duration=args.duration,
-                    seed=args.seed, keys=keys, mode=args.mode,
-                    workers=args.workers, timeout=args.timeout,
-                    observers=[tracker],
+                    seed=args.seed, keys=keys, workers=args.workers,
+                    timeout=args.timeout, observers=[tracker],
                 )
             finally:
                 limiter.stop_roller()
@@ -455,8 +453,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
         "policy": {"objective_s": args.objective, "quantile": args.quantile},
         "config": {
             "keys": args.keys, "limit": args.limit, "window_s": args.window,
-            "roll_interval": args.roll_interval, "mode": args.mode,
-            "workers": args.workers, "timeout": args.timeout,
+            "roll_interval": args.roll_interval, "workers": args.workers,
+            "timeout": args.timeout,
         },
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n",
@@ -487,7 +485,7 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
                    key=lambda r: r["latency"], reverse=True)[:args.k]
     lines = [
         f"SLO report over {len(requests)} requests "
-        f"({meta['summary']['mode']} loop, "
+        "(open loop, "
         f"offered {meta['summary']['offered_rate']}/s, "
         f"achieved {meta['summary']['achieved_rate']}/s)",
         f"  p50 {meta['summary']['p50'] * 1e3:.2f}ms  "
@@ -687,8 +685,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="sliding window (seconds)")
     p_load.add_argument("--roll-interval", type=float, default=0.1,
                         help="window roll period (seconds)")
-    p_load.add_argument("--mode", choices=("open", "closed"), default="open",
-                        help="open loop (CO-safe) or closed loop (contrast)")
     p_load.add_argument("--workers", type=int, default=4,
                         help="executor thread count")
     p_load.add_argument("--timeout", type=float, default=2.0,

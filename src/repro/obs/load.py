@@ -4,18 +4,12 @@ The measurement half of the tail-attribution pipeline: drive a target
 (normally a :class:`repro.apps.ratelimit.RateLimiter`) with a seeded
 Poisson arrival process and record per-request latency **from the
 intended send time**, not from when the generator got around to
-sending.  The distinction is the whole point:
-
-* **open loop** (the default) — arrivals come from a schedule fixed
-  before the run (:func:`arrival_schedule`); a slow response does not
-  delay the requests behind it, it *queues* them, and their latency
-  includes the queueing.  This is how real traffic behaves and the only
-  mode whose p99 means anything under saturation.
-* **closed loop** — each worker issues its next request only after the
-  previous one returns (``intended == start``).  Kept for contrast: a
-  closed-loop generator *coordinates* with the system under test and
-  silently omits exactly the latencies a stall produces, which is the
-  classic coordinated-omission mistake.
+sending.  Arrivals come from a schedule fixed before the run
+(:func:`arrival_schedule`); a slow response does not delay the requests
+behind it, it *queues* them, and their latency includes the queueing.
+A closed-loop generator, which sends the next request only when the
+previous one returns, would coordinate with the system under test and
+silently omit exactly the latencies a stall produces.
 
 Every request draws a schema-v3 ``corr`` token and emits ``req_start``
 (``wait_s`` = queue delay) and ``req_done`` (``wait_s`` = total latency
@@ -35,11 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import queue
 import random
 import struct
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -65,10 +58,18 @@ def arrival_schedule(rate: float, *, count: int | None = None,
     arguments always produce the same floats — the determinism the
     replay test pins.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and positive, got {rate!r}")
     if (count is None) == (duration is None):
         raise ValueError("exactly one of count/duration is required")
+    if count is not None and (
+        not isinstance(count, int) or isinstance(count, bool) or count < 1
+    ):
+        raise ValueError(f"count must be an int >= 1, got {count!r}")
+    if duration is not None and not (math.isfinite(duration) and duration > 0):
+        raise ValueError(
+            f"duration must be finite and positive, got {duration!r}"
+        )
     rng = random.Random(seed)
     offsets: list[float] = []
     t = 0.0
@@ -121,11 +122,10 @@ class RequestRecord:
 class LoadResult:
     """A finished run: every record plus the derived rates/percentiles."""
 
-    mode: str
     rate: float               #: offered rate (arrivals/s of the schedule)
     seed: int
     digest: str               #: the schedule's :func:`schedule_digest`
-    t0: float                 #: run start (target clock)
+    t0: float                 #: run start (time.monotonic)
     t_end: float              #: last request completion
     records: list[RequestRecord] = field(default_factory=list)
 
@@ -162,7 +162,6 @@ class LoadResult:
 
     def summary(self) -> dict:
         return {
-            "mode": self.mode,
             "offered_rate": self.rate,
             "achieved_rate": round(self.achieved_rate, 3),
             "requests": len(self.records),
@@ -177,28 +176,25 @@ class LoadResult:
 
 def run_load(limiter, *, rate: float, count: int | None = None,
              duration: float | None = None, seed: int = 0,
-             keys: Sequence[str] = ("user0",), mode: str = "open",
-             workers: int = 4, timeout: float | None = None,
+             keys: Sequence[str] = ("user0",), workers: int = 4,
+             timeout: float | None = None,
              observers: Iterable[Callable[[RequestRecord], None]] = (),
-             clock: Callable[[], float] = time.monotonic,
-             label: str = "load") -> LoadResult:
-    """Drive ``limiter.acquire`` with a seeded schedule; return the run.
+             ) -> LoadResult:
+    """Drive ``limiter.acquire`` open loop with a seeded schedule.
 
     ``limiter`` needs ``acquire(key, timeout=..., corr=...) -> bool`` —
     the rate limiter's blocking surface.  Keys round-robin over
     ``keys``.  ``observers`` are called with each finished
     :class:`RequestRecord` from the worker threads (the live feed an
-    :class:`~repro.obs.slo.SloTracker` consumes); they must be cheap
-    and must not raise.
+    :class:`~repro.obs.slo.SloTracker` consumes); they must be cheap,
+    and one that raises is ignored.
 
-    Open loop: a dispatcher thread releases work at the scheduled
-    instants (never skipping — when behind, requests queue and their
-    queue delay is part of their latency) while ``workers`` threads
-    execute.  Closed loop: the same workers simply take the next
-    request as soon as they are free, ``intended == start``.
+    The calling thread submits each request to a pool of ``workers``
+    threads at its scheduled instant, never skipping: when every worker
+    is busy, requests queue and their queue delay is part of their
+    latency.  An exception raised by ``acquire`` propagates from here
+    once the run has drained.
     """
-    if mode not in ("open", "closed"):
-        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not keys:
@@ -206,62 +202,39 @@ def run_load(limiter, *, rate: float, count: int | None = None,
     offsets = arrival_schedule(rate, count=count, duration=duration, seed=seed)
     digest = schedule_digest(offsets)
     observers = tuple(observers)
-    records: list[RequestRecord | None] = [None] * len(offsets)
-    work: queue.Queue = queue.Queue()
-    t0 = clock()
 
-    def execute(index: int, key: str, intended: float) -> None:
+    def execute(index: int, key: str, intended: float) -> RequestRecord:
         obs_on = _obs.enabled
         corr = _obs.next_corr() if obs_on else None
-        start = clock()
+        start = time.monotonic()
         if obs_on:
-            _obs.on_dist(label, "req_start", corr=corr,
+            _obs.on_dist("load", "req_start", corr=corr,
                          wait_s=start - intended)
         ok = limiter.acquire(key, timeout=timeout, corr=corr)
-        end = clock()
+        end = time.monotonic()
         if obs_on and _obs.enabled:
-            _obs.on_dist(label, "req_done", corr=corr, wait_s=end - intended,
+            _obs.on_dist("load", "req_done", corr=corr, wait_s=end - intended,
                          value=1 if ok else 0)
         record = RequestRecord(index=index, key=key, corr=corr,
                                intended=intended, start=start, end=end, ok=ok)
-        records[index] = record
         for observer in observers:
             try:
                 observer(record)
             except Exception:
                 pass  # an observer must never kill a worker
+        return record
 
-    def worker() -> None:
-        while True:
-            item = work.get()
-            if item is None:
-                return
-            index, key, intended = item
-            if intended is None:  # closed loop stamps at execution
-                intended = clock()
-            execute(index, key, intended)
-
-    pool = [
-        threading.Thread(target=worker, name=f"repro-load-{i}", daemon=True)
-        for i in range(workers)
-    ]
-    for thread in pool:
-        thread.start()
-    if mode == "open":
+    t0 = time.monotonic()
+    with ThreadPoolExecutor(workers, thread_name_prefix="repro-load") as pool:
+        futures = []
         for index, offset in enumerate(offsets):
-            target = t0 + offset
-            delay = target - clock()
+            intended = t0 + offset
+            delay = intended - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            work.put((index, keys[index % len(keys)], target))
-    else:
-        for index in range(len(offsets)):
-            work.put((index, keys[index % len(keys)], None))
-    for _ in pool:
-        work.put(None)
-    for thread in pool:
-        thread.join()
-    done = [r for r in records if r is not None]
-    t_end = max((r.end for r in done), default=t0)
-    return LoadResult(mode=mode, rate=rate, seed=seed, digest=digest,
-                      t0=t0, t_end=t_end, records=done)
+            futures.append(pool.submit(
+                execute, index, keys[index % len(keys)], intended))
+    records = [future.result() for future in futures]
+    t_end = max((r.end for r in records), default=t0)
+    return LoadResult(rate=rate, seed=seed, digest=digest,
+                      t0=t0, t_end=t_end, records=records)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -35,9 +36,24 @@ class AdmitAll:
 
 
 class TestArrivalSchedule:
-    def test_rate_must_be_positive(self):
+    @pytest.mark.parametrize("rate, kwargs", [
+        pytest.param(0.0, {"count": 5}, id="rate-zero"),
+        pytest.param(-1.0, {"count": 5}, id="rate-negative"),
+        pytest.param(math.nan, {"duration": 1.0}, id="rate-nan"),
+        pytest.param(math.inf, {"duration": 1.0}, id="rate-inf"),
+        pytest.param(10.0, {"count": 0}, id="count-zero"),
+        pytest.param(10.0, {"count": -3}, id="count-negative"),
+        pytest.param(10.0, {"count": 2.5}, id="count-float"),
+        pytest.param(10.0, {"count": True}, id="count-bool"),
+        pytest.param(10.0, {"duration": 0.0}, id="duration-zero"),
+        pytest.param(10.0, {"duration": math.nan}, id="duration-nan"),
+        pytest.param(10.0, {"duration": math.inf}, id="duration-inf"),
+    ])
+    def test_rejects_invalid_inputs(self, rate, kwargs):
+        # A non-finite rate or duration used to grow the schedule until
+        # memory ran out, and a count below 1 still yielded one arrival.
         with pytest.raises(ValueError):
-            arrival_schedule(0.0, count=5)
+            arrival_schedule(rate, **kwargs)
 
     def test_exactly_one_of_count_and_duration(self):
         with pytest.raises(ValueError):
@@ -85,7 +101,7 @@ class TestRecordsAndResult:
                           start=0.0, end=lat, ok=True)
             for i, lat in enumerate(latencies)
         ]
-        return LoadResult(mode="open", rate=10.0, seed=0, digest="d",
+        return LoadResult(rate=10.0, seed=0, digest="d",
                           t0=0.0, t_end=max(latencies), records=records)
 
     def test_percentiles_are_exact_order_statistics(self):
@@ -99,8 +115,7 @@ class TestRecordsAndResult:
         result = self._result([0.1])
         with pytest.raises(ValueError):
             result.percentile(1.5)
-        empty = LoadResult(mode="open", rate=1.0, seed=0, digest="d",
-                           t0=0.0, t_end=0.0)
+        empty = LoadResult(rate=1.0, seed=0, digest="d", t0=0.0, t_end=0.0)
         assert empty.percentile(0.99) == 0.0
         assert empty.admit_rate == 0.0
 
@@ -110,16 +125,13 @@ class TestRecordsAndResult:
 
     def test_summary_shape(self):
         summary = self._result([0.1, 0.2]).summary()
-        for key in ("mode", "offered_rate", "achieved_rate", "requests",
-                    "admit_rate", "p50", "p99", "p999", "seed", "digest"):
+        for key in ("offered_rate", "achieved_rate", "requests", "admit_rate", "p50", "p99", "p999", "seed", "digest"):
             assert key in summary
 
 
 class TestRunLoad:
-    def test_validates_mode_workers_keys(self):
+    def test_validates_workers_and_keys(self):
         target = AdmitAll()
-        with pytest.raises(ValueError):
-            run_load(target, rate=10.0, count=1, mode="sideways")
         with pytest.raises(ValueError):
             run_load(target, rate=10.0, count=1, workers=0)
         with pytest.raises(ValueError):
@@ -130,7 +142,6 @@ class TestRunLoad:
         result = run_load(target, rate=500.0, count=30, seed=7,
                           keys=("a", "b"), workers=3)
         assert len(result.records) == 30
-        assert result.mode == "open"
         assert result.digest == schedule_digest(
             arrival_schedule(500.0, count=30, seed=7)
         )
@@ -148,14 +159,18 @@ class TestRunLoad:
         worst = result.worst(1)[0]
         assert worst.latency >= worst.queue_s
 
-    def test_closed_loop_never_queues(self):
-        target = AdmitAll(delay=0.005)
-        result = run_load(target, rate=400.0, count=10, mode="closed",
-                          workers=1)
-        # intended is stamped at execution: no queue charge beyond the
-        # two adjacent clock reads.
-        assert all(r.queue_s < 0.005 for r in result.records)
-        assert result.mode == "closed"
+    def test_acquire_exception_propagates_after_the_run(self):
+        # A broken target must fail the run, not vanish into a worker:
+        # every other request still executes, then the error surfaces.
+        def admit(key):
+            if key == "b":
+                raise RuntimeError("target bug")
+            return True
+
+        target = AdmitAll(admit=admit)
+        with pytest.raises(RuntimeError, match="target bug"):
+            run_load(target, rate=500.0, count=6, keys=("a", "b"))
+        assert len(target.calls) == 6
 
     def test_rejections_recorded_not_raised(self):
         target = AdmitAll(admit=lambda key: key == "a")
