@@ -4,9 +4,9 @@ The "believable product" of ROADMAP item 4: a per-key quota service
 whose synchronization is nothing but the paper's counters.  Each key
 owns two monotone quantities:
 
-* ``admitted`` — every request ever admitted for the key (a
-  :class:`~repro.core.ShardedCounter` locally: admits are the hot path
-  and shard batching keeps them cheap);
+* ``admitted`` — every request ever admitted for the key (a plain
+  :class:`~repro.core.MonotonicCounter` locally: every bump and read
+  already happens under the entry lock, so shards would buy nothing);
 * ``retired`` — admissions that have *left* the sliding window (a plain
   :class:`~repro.core.MonotonicCounter` locally; the wait surface).
 
@@ -43,9 +43,16 @@ Two backends:
   client; the strict guarantee is the in-process one.
 
 Keys are LRU-bounded (``max_keys``): the least-recently-touched entry is
-evicted first, but never while it has parked waiters or pinned
-acquirers — evicting a counter out from under a ``check`` would strand
-the thread forever.
+evicted first, but never while it is pinned — an acquirer holds its pin
+from the touch through the decision and any park, and evicting a
+counter out from under a ``check`` would strand the thread forever.
+Locally, eviction keeps the key's in-window **residue**: the entry is
+rolled, and its marks, rebased to ``retired``, wait in a map that
+expires one window after the eviction.  A key re-created within the
+window starts from that residue (``admitted`` raised to the residual
+count), so eviction never forgets an admit that is still in the window
+and never lets a key over-admit.  Service counters outlive their
+client-side entry and need no residue.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Callable, Iterable
 
-from repro.core import MonotonicCounter, ShardedCounter
+from repro.core import MonotonicCounter
 from repro.core import syncpoints as _sp
 from repro.core.errors import CheckTimeout
 
@@ -63,20 +70,25 @@ __all__ = ["RateLimiter", "LocalBackend", "ServiceBackend", "serve_rolls"]
 
 
 class LocalBackend:
-    """In-process counters: strict sliding-window guarantee."""
+    """In-process counters: strict sliding-window guarantee.
+
+    Both counters are plain :class:`~repro.core.MonotonicCounter`
+    objects, and entries roll themselves, so the limiter carries an
+    evicted key's in-window residue over to its next entry.
+    """
 
     #: Local entries roll themselves (opportunistically and via the
     #: roller thread); service entries must not (see module docstring).
     rolls = True
 
     def admitted(self, name: str):
-        return ShardedCounter(name=name)
+        return MonotonicCounter(name=name)
 
     def retired(self, name: str):
         return MonotonicCounter(name=name)
 
     def admitted_value(self, counter) -> int:
-        return counter.value  # drains shards: exact under the entry lock
+        return counter.value
 
     def retired_value(self, counter) -> int:
         return counter.value
@@ -203,6 +215,9 @@ class RateLimiter:
         self._roller: threading.Thread | None = None
         self._roller_stop = threading.Event()
         self.evictions = 0
+        #: Evicted keys' in-window admits (local backends only), oldest
+        #: eviction first: key -> (evicted_at, marks rebased to zero).
+        self._residue: OrderedDict[str, tuple[float, list]] = OrderedDict()
 
     # -------------------------------------------------------------- entries
 
@@ -230,34 +245,65 @@ class RateLimiter:
                 self.backend.retired(f"{self.name}:{key}:retired"),
                 now,
             )
-            entry.marks.append((now, 0))
+            residue = self._residue.pop(key, None)
+            if residue is not None and residue[1][-1][0] > now - self.window_s:
+                # Carry on from the evicted entry's window, as if it had
+                # never left: same in-window count, same marks to retire.
+                entry.last_roll, marks = residue  # evicted_at: its last roll
+                entry.admitted.increment(marks[-1][1])
+                entry.marks.extend(marks)
+            else:
+                entry.marks.append((now, 0))
             entry.pins = 1  # not yet published: no lock needed
             self._entries[key] = entry
+            excess = len(self._entries) - self.max_keys
             evicted = []
-            if len(self._entries) > self.max_keys:
-                # Oldest-first sweep, skipping entries that a thread is
-                # parked on (live waiters) or about to park on (pins).
-                for old_key in list(self._entries):
-                    if len(self._entries) <= self.max_keys:
+            if excess > 0:
+                self._expire_residue(now)
+                # Oldest-first sweep, skipping pinned entries: a pin is
+                # held from touch through the decision and any park, so
+                # it covers every thread deciding or parked on the entry.
+                for old in self._entries.values():
+                    if len(evicted) == excess or old is entry:
                         break
-                    if old_key == key:
-                        continue
-                    old = self._entries[old_key]
                     with old.lock:
-                        busy = old.pins > 0 or bool(
-                            old.retired.snapshot().nodes
-                        )
-                        if busy:
+                        if old.pins:
                             continue
                         if _sp.enabled:
                             _sp.fire("ratelimit.evict", self)
-                        del self._entries[old_key]
-                        evicted.append(old)
-                        self.evictions += 1
+                        if self.backend.rolls:
+                            self._keep_residue(old, now)
+                    evicted.append(old)
+                for old in evicted:
+                    del self._entries[old.key]
+                self.evictions += len(evicted)
         for old in evicted:
             self.backend.close(old.admitted)
             self.backend.close(old.retired)
         return entry
+
+    def _keep_residue(self, entry: _Entry, now: float) -> None:
+        """Remember an evicting entry's in-window admits (its lock held).
+
+        The entry is rolled at ``now`` and its marks are rebased to
+        ``retired``, so a key re-created within the window starts from
+        the same estimate instead of an empty window.
+        """
+        if entry.marks[-1][0] <= now - self.window_s:
+            return  # every admit has left the window
+        self._roll_locked(entry, now)
+        base = self.backend.retired_value(entry.retired)
+        if entry.marks[-1][1] > base:
+            self._residue[entry.key] = (
+                now, [(ts, value - base) for ts, value in entry.marks]
+            )
+
+    def _expire_residue(self, now: float) -> None:
+        """Drop residue evicted a window or more ago (limiter lock held)."""
+        residue = self._residue
+        horizon = now - self.window_s
+        while residue and next(iter(residue.values()))[0] <= horizon:
+            residue.popitem(last=False)
 
     def keys(self) -> list[str]:
         """Live keys, least-recently-used first."""
@@ -454,6 +500,7 @@ class RateLimiter:
         with self._entries_lock:
             entries = list(self._entries.values())
             self._entries.clear()
+            self._residue.clear()
         for entry in entries:
             self.backend.close(entry.admitted)
             self.backend.close(entry.retired)

@@ -12,6 +12,9 @@ Two invariants carry the quota service:
   on or is parked on.  Without the pin, a key could be evicted and
   re-created mid-acquire, splitting the window estimate across two
   counter pairs — over quota.
+* **eviction never forgets an admit** — an evicted entry's in-window
+  residue seeds the key's next entry, so evict → re-create → admit sees
+  the same window estimate as if the key had never left.
 """
 
 from __future__ import annotations
@@ -166,3 +169,37 @@ def _assert_pinned(limiter, key):
 
 def _assert_survived(limiter, key):
     assert key in limiter._entries, "eviction swept a pinned entry"
+
+
+def test_scripted_evict_recreate_admit_stays_within_limit():
+    """Eviction carries a key's in-window admits: ``a`` admits, a flood
+    evicts it at the sweep gate, and the re-created ``a`` must still see
+    its full window and reject, whatever the LRU did in between."""
+    limiter = RateLimiter(1, 1.0, max_keys=1, clock=fixed_clock())
+    results = {}
+
+    def acquire(label, key):
+        results[label] = limiter.try_acquire(key)
+
+    run_script(
+        [
+            run_thread("first", expect="done"),      # "a" admits its limit
+            until("flood", "ratelimit.evict"),       # sweep picked "a"
+            probe(lambda c: _assert_survived(limiter, "a")),
+            run_thread("flood", expect="done"),
+            probe(lambda c: _assert_evicted(limiter, "a")),
+            run_thread("again", expect="done"),      # re-creates "a"
+        ],
+        {
+            "first": (acquire, "first", "a"),
+            "flood": (acquire, "flood", "b"),
+            "again": (acquire, "again", "a"),
+        },
+    )
+    assert results == {"first": True, "flood": True, "again": False}
+    assert limiter.evictions == 2
+    assert limiter.in_window("a") == limiter.limit
+
+
+def _assert_evicted(limiter, key):
+    assert key not in limiter.keys(), "the sweep did not evict the entry"
