@@ -38,9 +38,10 @@ Two backends:
   *only the service host rolls* (:func:`serve_rolls` —
   ``raise_source`` is max-merge per source, so two rollers racing would
   retire the same admissions twice and over-admit).  Client decisions
-  then use acknowledged lower bounds, giving a documented bounded
-  overshoot of at most the unacknowledged in-flight admissions per
-  client; the strict guarantee is the in-process one.
+  then use acknowledged lower bounds floored at the client's own admits
+  (counted before the hop onto its loop), giving a documented bounded
+  overshoot of at most the *other* clients' unacknowledged in-flight
+  admissions; the strict guarantee is the in-process one.
 
 Keys are LRU-bounded (``max_keys``): the least-recently-touched entry is
 evicted first, but never while it is pinned — an acquirer holds its pin
@@ -110,15 +111,20 @@ class ServiceBackend:
     Built over a thread-side endpoint
     (:func:`repro.dist.client.open_threadside`).  Admission reads are
     acknowledged lower bounds — ``admitted`` additionally floors at our
-    own (possibly unflushed) contribution so a client at least counts
-    its own admits; the service host must run :func:`serve_rolls` for
-    this limiter's keys or blocking acquires will only ever time out.
+    own admits, counted on the deciding thread before the increment
+    hops onto the loop, so a client never races its own admits; the
+    service host must run :func:`serve_rolls` for this limiter's keys or
+    blocking acquires will only ever time out.
     """
 
     rolls = False
 
     def __init__(self, endpoint) -> None:
         self._endpoint = endpoint
+        #: Our admits per counter name, raised by ``bump`` under the
+        #: entry lock.  Keyed by name, not handle: the service counter
+        #: outlives an evicted entry, and so does our share of it.
+        self._admits: dict[str, int] = {}
 
     def admitted(self, name: str):
         return self._endpoint.counter(name)
@@ -127,12 +133,14 @@ class ServiceBackend:
         return self._endpoint.counter(name)
 
     def admitted_value(self, counter) -> int:
-        return max(counter.value, counter.dist_snapshot()["contribution"])
+        return max(counter.value, self._admits.get(counter.name, 0))
 
     def retired_value(self, counter) -> int:
         return counter.value
 
     def bump(self, counter, corr: str | None) -> None:
+        name = counter.name
+        self._admits[name] = self._admits.get(name, 0) + 1
         counter.increment(1, corr=corr)
 
     def wait(self, counter, level: int, timeout: float | None,
@@ -530,25 +538,29 @@ async def serve_rolls(service, *, keys: Iterable[str], limit: int,
 
     if interval is None:
         interval = window_s / 8.0
-    keys = list(keys)
-    marks: dict[str, deque[tuple[float, int]]] = {
-        key: deque([(time.monotonic(), 0)]) for key in keys
-    }
+    # Per key: its two counters (looked up once), its marks, and the
+    # target ``retired`` was last raised to.  Raising it again to the
+    # same target is a no-op that still takes the counter's lock, so
+    # only a real step raises.
+    counters = [(service.counter(f"{name}:{key}:admitted"),
+                 service.counter(f"{name}:{key}:retired")) for key in keys]
+    start = time.monotonic()
+    marks = [deque([(start, 0)]) for _ in counters]
+    raised = [0] * len(counters)
     while True:
         now = time.monotonic()
         horizon = now - window_s
-        for key in keys:
-            admitted = service.counter(f"{name}:{key}:admitted").value
-            ring = marks[key]
+        for i, (admitted_c, retired_c) in enumerate(counters):
+            admitted = admitted_c.value
+            ring = marks[i]
             target = None
             while ring and ring[0][0] <= horizon:
                 target = ring.popleft()[1]
             if target is not None:
                 ring.appendleft((horizon, target))
-                if target > 0:
-                    service.counter(f"{name}:{key}:retired").raise_source(
-                        "roll", target
-                    )
+                if target > raised[i]:
+                    raised[i] = target
+                    retired_c.raise_source("roll", target)
             if not ring or ring[-1][1] != admitted:
                 ring.append((now, admitted))
         await asyncio.sleep(interval)

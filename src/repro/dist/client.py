@@ -428,6 +428,11 @@ class ServiceCounter:
 
     # Mirrors the MonotonicCounter surface so callers can swap backends.
 
+    @property
+    def name(self) -> str:
+        """The service-side counter name."""
+        return self._counter
+
     def increment(self, amount: int = 1, *, corr: str | None = None) -> None:
         amount = validate_amount(amount)
         self._loop.call_soon_threadsafe(

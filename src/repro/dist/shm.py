@@ -28,27 +28,29 @@ contract the sharded dumps carry — so the only possible error is a
 wait that parks a little longer, never a wakeup that fires early and
 never an observed decrease.
 
-**Waiting.**  In-process waiters park through the wakeup engine on a
-local :class:`~repro.core.counter.MonotonicCounter` mirror, and a single
-per-attachment *watcher* thread closes the cross-process gap.  Before it
-publishes the process's lowest awaited level in the shm bell word, the
-attachment creates a named FIFO next to the flock sidecar
-(``repro-shm-<segment>-<slot>.fifo``) and opens it read-write,
-non-blocking.  The watcher blocks in ``poll`` on that FIFO.  A remote
-writer whose increment satisfies a published bell level bumps the
-header's ring generation *before* its value store, then writes one byte
-to that slot's FIFO *after* the store: the kernel wakes the watcher,
-which re-scans and raises the mirror.  Local increments, ``close`` and
-a new waiter that finds the watcher idle write to the process's own
-FIFO.  An already-true ``check`` never involves any of this: it is one
-read-only scan, no lock, no syscall, no watcher.
+**Waiting.**  As the paper's ``Check`` suspends its caller, the first
+thread of a process to wait on a handle takes the handle's *seat* and
+waits across processes itself.  Before it publishes the process's lowest
+awaited level in the shm bell word, the attachment makes a named FIFO
+next to the flock sidecar (``repro-shm-<segment>-<slot>.fifo``), open
+read-write and non-blocking; the seat holder blocks in ``poll`` on it.
+A remote writer whose increment satisfies a published bell level bumps
+the header's ring generation *before* its value store and writes one
+byte to that slot's FIFO *after* it: the kernel wakes the seat holder,
+which re-scans and returns — no second thread, no engine hop.  Other
+local waiters (*followers*) park on the engine through a local
+:class:`~repro.core.counter.MonotonicCounter` mirror that the seat
+holder raises when its scan moves.  A holder that leaves while others
+wait bumps a process-local seat counter, which every follower awaits
+beside the mirror (``MultiWait.wait_any``), so the seat is handed on at
+once.  Local increments and ``close`` ring the process's own FIFO.  An
+already-true ``check`` is one read-only scan: no lock, no syscall.
 
 The wake is an accelerator, never the proof.  A writer can read the
 bells just before a waiter publishes its bell, and store just after the
 waiter's post-registration re-scan; no byte is written for that store.
-While anyone waits, the watcher's ``poll`` therefore times out at the
-``_POLL_MAX`` ceiling (4 ms) and re-scans, so a missed wake costs at
-most one ceiling poll.
+The seat holder's ``poll`` therefore times out at the ``_POLL_MAX``
+ceiling (4 ms) and re-scans, so a missed wake costs at most one poll.
 
 **Lifecycle.**  ``ShmCounter.publish(name)`` creates the segment;
 ``ShmCounter.attach(name)`` maps it and claims a writer slot.  Claims
@@ -73,13 +75,14 @@ import threading
 import time
 from multiprocessing import shared_memory
 
-from repro.core import syncpoints as _sp
 from repro.core.counter import MonotonicCounter
-from repro.obs import hooks as _obs
 from repro.core.errors import CheckTimeout
+from repro.core.multiwait import MultiWait
+from repro.obs import hooks as _obs
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.validation import validate_amount, validate_level, validate_timeout
 from repro.obs import registry as _obs_registry
+from repro.obs.events import next_token as _next_token
 
 __all__ = ["ShmCounter", "ShmSlotSnapshot"]
 
@@ -88,9 +91,9 @@ _HEADER_WORDS = 8          # magic, version, nslots, ring, 4 reserved
 _WORD = 8
 _VERSION = 1
 
-#: The watcher's ceiling poll (seconds) while anyone waits: how long a
-#: wake missed by the bell/re-scan race (module docstring) can go
-#: unnoticed.  Every other wake arrives as a FIFO byte.
+#: The seat holder's ceiling poll (seconds): how long a wake missed by
+#: the bell/re-scan race (module docstring) can go unnoticed.  Every
+#: other wake arrives as a FIFO byte.
 _POLL_MAX = 0.004
 
 #: Serializes the resource-tracker patch in :meth:`ShmCounter.attach`
@@ -127,18 +130,6 @@ def _unlink_quiet(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def _wait_fifo(poller, fd: int, timeout: float | None) -> None:
-    """Block until a byte lands on FIFO ``fd`` (or ``timeout`` seconds);
-    drain it.  ``poller`` watches ``fd`` for input (``poll``, unlike
-    ``select``, takes fds past 1023).
-
-    Rings are edges, not counts: one drain answers every pending ring,
-    and the caller re-scans the segment either way.
-    """
-    if poller.poll(None if timeout is None else timeout * 1000.0):
-        os.read(fd, 4096)
 
 
 def _ring_fd(fd: int) -> bool:
@@ -183,10 +174,9 @@ class ShmCounter:
     Create with :meth:`publish`, join with :meth:`attach`; both return a
     handle that owns one writer slot.  ``increment`` stores to that slot
     only; ``check``/``value`` scan all slots.  The handle is also a
-    perfectly ordinary in-process counter: local waiters park on the
-    engine via the internal mirror, and the watcher thread (spawned
-    lazily, parked while nobody waits) keeps the mirror trailing the
-    cross-process sum.
+    perfectly ordinary in-process counter: one local waiter holds the
+    seat and blocks on the process's FIFO, the others park on the engine
+    via the internal mirror (see the module docstring).
 
     Not a :class:`~repro.core.api.AbstractCounter` subclass on purpose:
     ``reset`` has no safe cross-process meaning for a grow-only
@@ -217,22 +207,28 @@ class ShmCounter:
         self._ring = buf[3 * _WORD:4 * _WORD].cast("Q")
         # In-process serialization of our slot's read-modify-write (the
         # slot has one writer *process*, but that process may have many
-        # threads) and of watcher lifecycle.
+        # threads), of the waiter registry and of the seat.
         self._local_lock = threading.Lock()
-        self._mirror = MonotonicCounter(name=f"{name}[slot{slot}]" if name else None)
-        _obs_registry.deregister(self._mirror)  # surfaced via self instead
+        label = f"{name}[slot{slot}]" if name else None
+        self._mirror = MonotonicCounter(name=label)  # the followers' wait
+        self._seats = MonotonicCounter(name=label and f"{label}.seat")  # handoffs
+        for internal in (self._mirror, self._seats):  # surfaced via self
+            _obs_registry.deregister(internal)
         self._published = 0          # cumulative floor handed to the mirror
         self._publish_lock = threading.Lock()
         self._waiting: dict[int, int] = {}  # level -> local waiter count
-        self._watcher: threading.Thread | None = None
-        # True once the watcher has seen nobody waiting and blocks with
-        # no timeout: only then must a new waiter ring it (under
-        # _local_lock, like _waiting).
-        self._watch_idle = False
-        # Our FIFO's read-write end, made on the first wait.  Every write
-        # to a FIFO fd (ours or a cached remote one) happens under
-        # _bell_lock, so close() can never free an fd number mid-write.
+        self._seat = threading.Lock()  # taken under _local_lock
+        # Touched only by the seat holder (or under _local_lock while
+        # nobody waits): the ring generation it last noticed, and that
+        # bell's corr, pending until its progress is published.
+        self._seat_ring = 0
+        self._seat_corr: str | None = None
+        # Our FIFO's read-write end and its poller, made on the first
+        # wait.  Every write to a FIFO fd (ours or a cached remote one)
+        # happens under _bell_lock, so close() can never free an fd
+        # number mid-write.
         self._fifo_fd: int | None = None
+        self._poller = None
         self._bell_fds: dict[int, tuple[int, int]] | None = {}  # slot -> (owner pid, fd)
         self._bell_lock = threading.Lock()
         _obs_registry.register(self)
@@ -347,17 +343,21 @@ class ShmCounter:
 
     def close(self) -> None:
         """Release the slot (ownership only; the value stays), close and
-        remove this handle's FIFO, and unmap."""
+        remove this handle's FIFO, and unmap.  Local waiters raise
+        ``ValueError``."""
         with self._local_lock:
             if self._closed:
                 return
             self._closed = True
+            waiting = bool(self._waiting)
         _obs_registry.deregister(self)
-        watcher = self._watcher
-        if watcher is not None:
-            self._ring_own()  # the watcher sees _closed and exits
-            watcher.join(timeout=2.0)
-            self._watcher = None
+        # Wake every waiter (the seat holder through the FIFO, followers
+        # through the seat count) to see _closed and raise.  The holder
+        # polls the FIFO and scans the mapping until it leaves the seat.
+        if waiting:
+            self._ring_own()
+            self._seats.increment(1)
+        vacated = self._seat.acquire(timeout=2.0)
         with self._bell_lock:
             fds, self._bell_fds = self._bell_fds, None
             own, self._fifo_fd = self._fifo_fd, None
@@ -367,15 +367,15 @@ class ShmCounter:
             # Unlink before the slot is released: the next owner of this
             # slot makes its own FIFO at this path.
             _unlink_quiet(_fifo_path(self._name, self._slot))
-            # A watcher still alive past the join may yet poll or read
-            # ``own``: leak it rather than let the kernel hand its
-            # number to another file.
-            if watcher is None or not watcher.is_alive():
-                os.close(own)
         try:
+            self._bells[self._slot] = 0  # or writers keep opening our FIFO
             self._pids[self._slot] = 0
         except (ValueError, TypeError):  # pragma: no cover - already unmapped
             pass
+        if not vacated:  # pragma: no cover - a holder stuck past 2 s
+            return  # leak its FIFO fd and mapping, not pull them from under it
+        if own is not None:
+            os.close(own)
         # memoryview slices pin the exported buffer; drop them before close.
         self._values.release()
         self._pids.release()
@@ -445,17 +445,15 @@ class ShmCounter:
             # per slot, only on the increment path), collect every slot
             # whose published level is about to be satisfied, and bump
             # the ring generation once.  The bump goes BEFORE the value
-            # store: a watcher that observes the new value is then
+            # store: a seat holder that observes the new value is then
             # guaranteed to observe the generation that announced it
             # (this process could stall arbitrarily long between the
-            # two stores, and bump-after-store would let the watcher
-            # publish the wakeup with no bell attribution and park
-            # before the bump lands).  An early ring merely costs the
-            # watcher one extra scan.
-            # The bump is a read-modify-write that may race another
-            # writer's — losing one of two concurrent bumps is harmless
-            # because the value can only move away from what any
-            # watcher last saw.
+            # two stores, and bump-after-store would let the holder
+            # return with no bell attribution).  An early ring merely
+            # costs the holder one extra scan.  The bump is a
+            # read-modify-write that may race another writer's — losing
+            # one of two concurrent bumps is harmless because the value
+            # can only move away from what any holder last saw.
             bells = self._bells
             ring = self._ring
             rung = None
@@ -470,7 +468,7 @@ class ShmCounter:
                     ring[0] = new_gen
                     if _obs.enabled:
                         # The ring generation doubles as the wire token:
-                        # the remote watcher that wakes on this
+                        # the remote seat holder that wakes on this
                         # generation emits bell_wake with the same corr,
                         # tying the two rings' events together in a
                         # merged trace.  Concurrent writers may stamp
@@ -480,12 +478,13 @@ class ShmCounter:
                                      corr=f"bell:{self._name}:{int(new_gen)}",
                                      level=int(bell - 1), value=total)
             values[slot] = new_own
-        # The FIFO bytes go AFTER the store, so a watcher they wake
+        # The FIFO bytes go AFTER the store, so a seat holder they wake
         # scans the new value.
         if rung is not None:
             self._ring_bells(rung)
-        # Local wakeups: raise the mirror floor (engine wake pass) and
-        # ring our own watcher so it re-scans now, not at the ceiling.
+        # Local wakeups: raise the mirror floor (the followers' engine
+        # wake pass) and ring our own FIFO so the seat holder re-scans
+        # now, not at the ceiling.
         if self._waiting:
             self._publish_floor(total)
             self._ring_own()
@@ -495,9 +494,10 @@ class ShmCounter:
         """Suspend until the cross-process sum reaches ``level``.
 
         Already-satisfied checks return from the read-only scan — no
-        lock, no syscall, no watcher.  A waiting check registers with
-        the watcher (publishing the process's lowest awaited level in
-        the shm doorbell) and parks on the engine through the mirror.
+        lock, no syscall.  A waiting check publishes the process's
+        lowest awaited level in the shm doorbell, then holds the seat
+        (blocks in ``poll`` on the process's FIFO) or follows (parks
+        until the mirror reaches ``level`` or the seat is handed on).
         """
         if type(level) is not int or level < 0:
             level = validate_level(level)
@@ -506,171 +506,168 @@ class ShmCounter:
         if sum(self._values) >= level:
             return
         deadline = None if timeout is None else time.monotonic() + timeout
-        self._register_wait(level)
+        seated, seen = self._register_wait(level)
+        token = t_parked = None
         try:
             while True:
-                # Re-scan after registration: an increment that landed
-                # between the fast scan and the doorbell publish might
-                # never ring (its bell read preceded our write).
+                if self._closed:
+                    raise ValueError(f"{self!r}: check on a closed handle")
+                if seated:
+                    self._notice_ring()
+                # Re-scan on every pass.  The first one, after
+                # registration, catches an increment that landed between
+                # the fast scan and the doorbell publish: it never rang
+                # (its bell read preceded our write).
                 total = sum(self._values)
+                # Racy read: a waiter registering later re-scans itself.
+                others = sum(self._waiting.values()) > 1
                 if total >= level:
-                    self._publish_floor(total)
+                    corr = self._take_corr() if seated and _obs.enabled else None
+                    if others:
+                        self._publish_floor(total, corr)
+                    if t_parked is not None:
+                        _obs.on_wake(self, None, level, t_parked, token, corr)
                     return
+                if seated and others and total > self._published:
+                    self._publish_floor(
+                        total, self._take_corr() if _obs.enabled else None)
                 remaining: float | None = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
+                        if t_parked is not None:
+                            _obs.on_timeout(self, level, total, t_parked, token)
                         raise CheckTimeout(
                             f"{self!r}: check({level}) timed out after {timeout}s "
                             f"(value={total})"
                         )
-                try:
-                    self._mirror.check(level, remaining)
-                    return
-                except CheckTimeout:
-                    # The mirror trails the shm sum; adjudicate against
-                    # the authoritative scan before reporting (stability:
-                    # a concurrent remote increment must not be reported
-                    # as a timeout).  The loop re-raises if truly unmet.
+                if not seated:
+                    seated, seen = self._follow(level, seen, remaining)
                     continue
+                if t_parked is None and _obs.enabled:
+                    token = _next_token()
+                    t_parked = _obs.on_park(self, level, total, len(self._waiting),
+                                            sum(self._waiting.values()), token)
+                # Rings are edges, not counts: one drain answers every
+                # pending ring.  (``poll``, unlike ``select``, takes fds
+                # past 1023.)
+                ceiling = _POLL_MAX if remaining is None else min(remaining, _POLL_MAX)
+                if self._poller.poll(ceiling * 1000.0):
+                    os.read(self._fifo_fd, 4096)
         finally:
-            self._deregister_wait(level)
+            self._deregister_wait(level, seated)
 
     # ------------------------------------------------- waiting infrastructure
 
-    def _publish_floor(self, total: int) -> None:
+    def _publish_floor(self, total: int, corr: str | None = None) -> None:
+        """Raise the mirror to ``total``, waking the followers it meets;
+        under ``corr`` (the bell that announced it) as wire context."""
         # Same race-safe absolute-floor publish as GCounter._publish.
         with self._publish_lock:
             gap = total - self._published
             if gap <= 0:
                 return
             self._published = total
-        self._mirror.increment(gap)
+        if corr is None:
+            self._mirror.increment(gap)
+            return
+        prev_ctx = _obs.set_wire_context(_obs.WireContext(corr))
+        try:
+            self._mirror.increment(gap)
+        finally:
+            _obs.set_wire_context(prev_ctx)
 
-    def _register_wait(self, level: int) -> None:
+    def _register_wait(self, level: int) -> tuple[bool, int]:
+        """Count a waiter and publish the bell; returns ``_try_seat()``."""
         with self._local_lock:
-            # Capture the ring generation BEFORE advertising the bell:
-            # a remote writer may see the bell and bump the generation
-            # before the watcher thread runs its first instruction, and
-            # the watcher must still classify that bump as a ring (the
-            # bell_wake trace event and its corr hang off it).
-            ring0 = self._ring[0]
+            if self._closed:
+                raise ValueError(f"{self!r}: check on a closed handle")
+            if not self._waiting:
+                # No seat holder.  Read the ring generation BEFORE the
+                # bell goes up, so a writer that sees the bell and bumps
+                # it before the holder's first pass still counts as a ring.
+                self._seat_ring = self._ring[0]
             # The FIFO exists before the bell names this slot, so a
             # writer that sees the bell always finds something to open.
             if self._fifo_fd is None:
                 self._fifo_fd = _make_fifo(_fifo_path(self._name, self._slot))
+                self._poller = select.poll()
+                self._poller.register(self._fifo_fd, select.POLLIN)
             self._waiting[level] = self._waiting.get(level, 0) + 1
             self._bells[self._slot] = 1 + min(self._waiting)
-            wake, self._watch_idle = self._watch_idle, False
-            watcher = self._watcher
-            if watcher is None:
-                watcher = threading.Thread(
-                    target=self._watch, args=(ring0, self._fifo_fd),
-                    name=f"repro-shm-watch-{self._slot}", daemon=True
-                )
-                self._watcher = watcher
-                watcher.start()
-        # An idle watcher must start its ceiling poll.  One already in
-        # its timed wait is not rung: the bell is published, so a
-        # satisfying writer rings the FIFO itself, and the ceiling
-        # covers the race.  That keeps a steady handoff at one watcher
-        # wake per round, not two.
-        if wake:
-            self._ring_own()
+            return self._try_seat()
 
-    def _deregister_wait(self, level: int) -> None:
+    def _try_seat(self) -> tuple[bool, int]:
+        """Take the seat if free: ``(True, 0)``; else ``(False, n)`` with
+        the handoff count ``n`` to wait past.  ``_local_lock`` held."""
+        if self._seat.acquire(False):
+            return True, 0
+        return False, self._seats.value
+
+    def _follow(self, level: int, seen: int,
+                remaining: float | None) -> tuple[bool, int]:
+        """Park until the mirror reaches ``level`` or the seat is handed
+        on (``seen`` passed); try the seat if it was."""
+        with MultiWait([(self._mirror, level), (self._seats, seen + 1)]) as wait:
+            try:
+                handed = 1 in wait.wait_any(remaining)
+            except CheckTimeout:  # the caller adjudicates against a scan
+                handed = False
+        if not handed:
+            return False, seen
+        with self._local_lock:
+            return self._try_seat()
+
+    def _deregister_wait(self, level: int, seated: bool) -> None:
         with self._local_lock:
             count = self._waiting.get(level, 0) - 1
             if count > 0:
                 self._waiting[level] = count
             else:
                 self._waiting.pop(level, None)
-            self._bells[self._slot] = 1 + min(self._waiting) if self._waiting else 0
+            if not self._closed:  # close() may have unmapped the bells
+                self._bells[self._slot] = 1 + min(self._waiting) if self._waiting else 0
+            if not seated:
+                return
+            self._seat.release()
+            handoff = bool(self._waiting)
+        # Hand the seat on with no gap: every follower wakes, one takes it.
+        if handoff:
+            self._seats.increment(1)
 
-    def _watch(self, last_ring: int, fd: int) -> None:
-        """The per-attachment watcher: scan on each wake, raise the mirror.
+    def _notice_ring(self) -> None:
+        """The seat holder notes a new ring generation (before its scan:
+        writers bump it before their store); with obs on, it emits
+        ``bell_wake`` and holds the bell's corr for the publish and
+        return the ring announced."""
+        ring = self._ring[0]
+        if ring != self._seat_ring:
+            self._seat_ring = ring
+            if _obs.enabled:
+                self._seat_corr = f"bell:{self._name}:{int(ring)}"
+                _obs.on_dist(self, "bell_wake", corr=self._seat_corr)
 
-        Runs while the handle is open, blocked in ``poll`` on this
-        handle's FIFO ``fd``: indefinitely when nobody waits (the next
-        waiter rings), at most ``_POLL_MAX`` while someone does.  A
-        satisfying remote increment, a local increment, a waiter that
-        finds the watcher idle and ``close`` each write a byte, so a
-        wake costs one kernel round trip; the ceiling only catches the
-        bell/re-scan race.
-
-        ``last_ring`` is the generation observed before the first
-        waiter armed its bell (see ``_register_wait``) so a ring that
-        lands during thread startup is still seen as a ring.
-        """
-        last_total = -1
-        # A noticed ring's corr is held PENDING until the publish it
-        # announced consumes it: writers bump the generation before the
-        # value store (see increment), so the progress may only become
-        # scannable one or more wakes after the bell_wake — the
-        # attribution must survive the gap.
-        pending_corr: str | None = None
-        poller = select.poll()
-        poller.register(fd, select.POLLIN)
-        while True:
-            with self._local_lock:
-                if self._closed:
-                    return
-                waiting = bool(self._waiting)
-                self._watch_idle = not waiting
-            if not waiting:
-                _wait_fifo(poller, fd, None)
-                continue
-            # Notice the generation *before* publishing: when a remote
-            # writer rang, the bell_wake event must precede (in seq) the
-            # mirror increment/release/unpark chain its publish causes,
-            # and that chain inherits the bell's corr via the ambient
-            # wire context so a merged trace links writer -> watcher ->
-            # woken thread.
-            ring = self._ring[0]
-            if ring != last_ring:
-                last_ring = ring
-                if _obs.enabled:
-                    pending_corr = f"bell:{self._name}:{int(ring)}"
-                    _obs.on_dist(self, "bell_wake", corr=pending_corr)
-            total = sum(self._values)
-            if total > last_total:
-                last_total = total
-                if pending_corr is None and _obs.enabled:
-                    # The scan saw progress the generation read above
-                    # missed: the announcing bump (if any) precedes the
-                    # value store, so a re-read now is guaranteed to see
-                    # it.
-                    ring = self._ring[0]
-                    if ring != last_ring:
-                        last_ring = ring
-                        pending_corr = f"bell:{self._name}:{int(ring)}"
-                        _obs.on_dist(self, "bell_wake", corr=pending_corr)
-                if pending_corr is not None:
-                    prev_ctx = _obs.set_wire_context(
-                        _obs.WireContext(pending_corr)
-                    )
-                    try:
-                        self._publish_floor(total)
-                    finally:
-                        _obs.set_wire_context(prev_ctx)
-                    pending_corr = None
-                else:
-                    self._publish_floor(total)
-            _wait_fifo(poller, fd, _POLL_MAX)
+    def _take_corr(self) -> str | None:
+        """The seat holder consumes the bell corr of progress it just
+        scanned (re-reading the ring: its bump preceded the store)."""
+        if self._seat_corr is None:
+            self._notice_ring()
+        corr, self._seat_corr = self._seat_corr, None
+        return corr
 
     def _ring_own(self) -> None:
-        """Wake this handle's watcher (a no-op before the first wait)."""
+        """Wake this handle's seat holder (a no-op before the first wait)."""
         with self._bell_lock:
             if self._fifo_fd is not None:
                 _ring_fd(self._fifo_fd)
 
     def _ring_bells(self, slots: list[int]) -> None:
-        """Write one byte to each of ``slots``' FIFOs, waking their watchers.
+        """Write one byte to each of ``slots``' FIFOs, waking their seat holders.
 
         Writer fds are cached per slot and keyed by the slot's owner
         pid, so a slot reclaimed by a new process is reopened.  A full
         FIFO already holds a pending wake; a missing FIFO or one nobody
-        reads has no watcher to wake.  Both are no-ops.
+        reads has no waiter to wake.  Both are no-ops.
         """
         pids = self._pids
         with self._bell_lock:
@@ -689,7 +686,7 @@ class ShmCounter:
                 try:
                     fd = os.open(_fifo_path(self._name, index),
                                  os.O_WRONLY | os.O_NONBLOCK)
-                except OSError:  # ENOENT / ENXIO: no watcher to wake
+                except OSError:  # ENOENT / ENXIO: no waiter to wake
                     continue
                 fds[index] = (pid, fd)
                 _ring_fd(fd)
@@ -728,16 +725,19 @@ class ShmCounter:
         }
 
     def snapshot(self) -> CounterSnapshot:
-        """Counter-shaped view: local mirror waiters plus one node per
-        *remote* process doorbell (count 1 each — at least one waiter,
-        the same lower-bound contract as the sharded dumps)."""
-        local = self._mirror.snapshot()
+        """Counter-shaped view: one node per locally awaited level (the
+        seat holder and its followers) plus one per *remote* process
+        doorbell (count 1 each — at least one waiter, the same
+        lower-bound contract as the sharded dumps)."""
+        with self._local_lock:
+            local = tuple(WaitNodeSnapshot(level=level, count=count)
+                          for level, count in sorted(self._waiting.items()))
         remote = tuple(
             WaitNodeSnapshot(level=s.awaited, count=1)
             for s in self.slot_snapshot()
             if s.awaited is not None and s.index != self._slot
         )
-        return CounterSnapshot(value=self.value, nodes=local.nodes + remote)
+        return CounterSnapshot(value=self.value, nodes=local + remote)
 
     @property
     def waiting_levels(self) -> tuple[int, ...]:

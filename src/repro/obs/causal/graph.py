@@ -18,9 +18,10 @@ structures the analyses need:
   ``push_deliver`` carries the same token plus the ``cause_seq`` of the
   increment that satisfied it, so the edge runs *server increment →
   push → client unpark* with no token-matched local release at all.
-  Likewise a shm reader's locally-matched release carries the bell
-  correlation, which names the writer-side ``bell_ring`` that rang it —
-  the edge's :attr:`Edge.origin` is then the foreign bell event.
+  Likewise a shm seat holder's ``unpark`` (and a shm follower's
+  locally-matched release) carries the bell correlation, which names
+  the writer-side ``bell_ring`` that rang it — the edge's
+  :attr:`Edge.origin` is then the foreign bell event.
 
 Events are ordered by ``seq`` (the process-global emission counter),
 not buffer position or timestamp: the deferred release emission means
@@ -308,8 +309,11 @@ class CausalGraph:
                 # Pass 3 (wire): no local release — a dist client unpark
                 # carries the subscription corr; the server push_deliver
                 # echoing it names the satisfying increment by cause_seq.
+                # A shm seat holder's unpark carries the bell corr of
+                # the writer's bell_ring, which has no cause_seq.
                 corr = wait.end.corr or wait.park.corr
-                push = push_by_corr.get(corr) if corr is not None else None
+                push = (push_by_corr.get(corr) or bell_by_corr.get(corr)
+                        if corr is not None else None)
                 if push is None:
                     continue
                 increment = (

@@ -97,7 +97,7 @@ KINDS = frozenset(
         "batch_flush",     # a client flushed its dirty-counter batch
         "push_deliver",    # the service pushed a satisfied subscription
         "bell_ring",       # a shm writer rang a sleeping reader's doorbell
-        "bell_wake",       # a shm watcher woke on its doorbell generation
+        "bell_wake",       # a shm seat holder noticed a new doorbell generation
         "gossip_round",    # one anti-entropy digest exchange completed
         "slot_claim",      # a shm process claimed (or reclaimed) a writer slot
         # --- schema v3.1: the load/SLO layer (repro.obs.load / .slo) ---

@@ -135,7 +135,8 @@ def _chan(obj: object) -> tuple:
 # globally unique across processes (``"<pid:x>-<n:x>"``); the pid prefix
 # is refreshed after fork so a forked shm worker never collides with its
 # parent.  The ambient :class:`WireContext` is a thread-local the
-# service/watcher sets around frame dispatch — core emit sites read it
+# service (around frame dispatch) and a shm seat holder (around the
+# mirror raise a bell announced) set — core emit sites read it
 # only on the *enabled* tracing path, so the disabled contract (one
 # attr-read + false branch) is untouched.
 
@@ -344,7 +345,8 @@ def on_park(
 
 
 def on_wake(counter: object, node: object | None, level: int,
-            t_parked: float | None) -> None:
+            t_parked: float | None, token: int | None = None,
+            corr: str | None = None) -> None:
     """A suspended check resumed (normal wakeup or adjudicated success).
 
     ``t_parked`` is :func:`on_park`'s return.  ``wait_s`` is
@@ -352,13 +354,16 @@ def on_wake(counter: object, node: object | None, level: int,
     ``wakeup_s`` is release-to-unpark, read off the wait node's
     ``released_ts``, ``None`` when the releasing increment predates
     enablement or has not stamped it yet (a wheel-mode adjudicated
-    release can resume first).  ``node`` is ``None`` for a counter without wait nodes;
-    the event's token and ``wakeup_s`` are then ``None`` too.
+    release can resume first).  ``node`` is ``None`` for a wait without a
+    wait node (:class:`~repro.core.counter.BroadcastCounter`, a shm seat
+    holder); ``wakeup_s`` is then ``None`` and the token is ``token``
+    (the one its :func:`on_park` carried).  ``corr`` names the wire
+    event that woke it (a shm seat holder's bell).
     """
     now = clock()
     wait_s = None if t_parked is None else now - t_parked
     if node is None:
-        token = wakeup_s = None
+        wakeup_s = None
     else:
         token = node.token
         released_ts = node.released_ts
@@ -375,7 +380,7 @@ def on_wake(counter: object, node: object | None, level: int,
         emit((now, "unpark", ch[1], _get_ident(),
               level, None, None, None,
               wait_s, wakeup_s, next_seq(), token, None,
-              None, None, None))
+              None, None, corr))
 
 
 def on_spin_exhausted(counter: object, level: int, budget: int) -> None:

@@ -2,10 +2,11 @@
 
 Covers the lifecycle (publish/attach/close/unlink, including the
 per-slot wake FIFOs), single- and multi-process increment/check, the
-FIFO kernel wake and the watcher's ceiling poll, crash-orphan slot
-reclamation (a SIGKILLed writer's slot is reclaimed with its value
-intact — readers never observe a decrease), and the observability
-surface.
+seat (the one local waiter that blocks on the process's FIFO: its
+kernel wake, its ceiling poll, its handoff to a follower and its
+``close``), crash-orphan slot reclamation (a SIGKILLed writer's slot is
+reclaimed with its value intact — readers never observe a decrease),
+and the observability surface.
 
 Workers are module-level functions under the ``fork`` start method
 (children inherit ``sys.path``); every child interaction is bounded by
@@ -70,8 +71,11 @@ def _sigkill(proc) -> None:
     proc.join(10)
 
 
-def _parked(counter: ShmCounter) -> bool:
-    return counter._mirror.snapshot().total_waiters >= 1
+def _await_waiters(counter: ShmCounter, n: int = 1) -> None:
+    """Wait until ``n`` local waiters are registered, then give them a
+    moment to reach the seat's poll or the follower's park."""
+    wait_until(lambda: sum(counter._waiting.values()) >= n)
+    time.sleep(0.05)
 
 
 def _fifos(name: str) -> list[str]:
@@ -356,8 +360,9 @@ class TestObservability:
 
 
 class TestFifoWake:
-    """The per-slot FIFO: a remote increment wakes the parked process's
-    watcher through the kernel; the ceiling poll is only the backstop."""
+    """The per-slot FIFO and the seat: a remote increment wakes the
+    waiting process's seat holder through the kernel; the ceiling poll
+    is only the backstop, and a leaving holder hands the seat on."""
 
     def test_remote_increment_wakes_without_a_poll(self, monkeypatch):
         monkeypatch.setattr(shm_mod, "_POLL_MAX", 30.0)
@@ -365,7 +370,7 @@ class TestFifoWake:
             other = ShmCounter.attach(owner.name)
             try:
                 waiter = spawn(owner.check, 1)
-                wait_until(lambda: _parked(owner))
+                _await_waiters(owner)
                 # Stay parked a while first: a poll that backs off while
                 # idle would by now sleep longer than the bound below.
                 time.sleep(2.0)
@@ -380,30 +385,31 @@ class TestFifoWake:
             other = ShmCounter.attach(owner.name)
             try:
                 waiter = spawn(owner.check, 1)
-                wait_until(lambda: _parked(owner))
+                _await_waiters(owner)
                 other.increment()
                 join_all([waiter], timeout=5.0)
             finally:
                 other.close()
 
-    def test_waiter_after_the_watcher_went_idle_rings_it(self, monkeypatch):
-        """With no FIFO bytes from writers, only the idle watcher's own
-        ring puts it back on its ceiling poll; without that ring the
-        second wait would never be noticed."""
+    def test_each_new_wait_takes_the_free_seat(self, monkeypatch):
+        """With no FIFO bytes from writers, each wait must find the seat
+        free and poll at the ceiling itself: a seat left held after a
+        wait would leave the next one parked for good."""
         monkeypatch.setattr(ShmCounter, "_ring_bells", lambda self, slots: None)
         with ShmCounter.publish(slots=2) as owner:
             other = ShmCounter.attach(owner.name)
             try:
                 for level in (1, 2):
                     waiter = spawn(owner.check, level)
-                    wait_until(lambda: _parked(owner))
+                    _await_waiters(owner)
+                    assert owner._seat.locked()
                     other.increment()
                     join_all([waiter], timeout=5.0)
-                    wait_until(lambda: owner._watch_idle)
+                    assert not owner._seat.locked()
             finally:
                 other.close()
 
-    def test_waiter_does_not_ring_a_watcher_in_its_timed_wait(self, monkeypatch):
+    def test_second_waiter_does_not_ring_a_held_seat(self, monkeypatch):
         rings = []
         ring_own = ShmCounter._ring_own
         monkeypatch.setattr(ShmCounter, "_ring_own",
@@ -412,16 +418,96 @@ class TestFifoWake:
             other = ShmCounter.attach(owner.name)
             try:
                 first = spawn(owner.check, 5)
-                wait_until(lambda: _parked(owner))
-                before = len(rings)
+                _await_waiters(owner)
                 second = spawn(owner.check, 3)
-                wait_until(lambda: owner._mirror.snapshot().total_waiters >= 2)
-                assert len(rings) == before
-                assert not owner._watch_idle
+                _await_waiters(owner, 2)
+                # The follower lowered the bell; a satisfying writer
+                # rings the FIFO itself, and the ceiling covers the race.
+                assert rings == []
+                assert owner.slot_snapshot()[owner.slot].awaited == 3
                 other.increment(5)
                 join_all([first, second], timeout=5.0)
             finally:
                 other.close()
+
+    @pytest.mark.parametrize("wake", ["ceiling", "fifo"])
+    def test_holder_timeout_hands_the_seat_to_a_follower(self, monkeypatch, wake):
+        """The follower left waiting must take the seat at once: with
+        rings stubbed it then finds the store at its ceiling poll; with
+        a 30 s ceiling only its own poll on the FIFO can see the ring
+        within a second."""
+        if wake == "ceiling":
+            monkeypatch.setattr(ShmCounter, "_ring_bells", lambda self, slots: None)
+        else:
+            monkeypatch.setattr(shm_mod, "_POLL_MAX", 30.0)
+        with ShmCounter.publish(slots=2) as owner:
+            other = ShmCounter.attach(owner.name)
+            timed_out = []
+
+            def hold():
+                try:
+                    owner.check(5, timeout=0.3)
+                except CheckTimeout:
+                    timed_out.append(True)
+
+            try:
+                holder = spawn(hold)
+                _await_waiters(owner)
+                follower = spawn(owner.check, 3)
+                _await_waiters(owner, 2)
+                join_all([holder], timeout=5.0)
+                assert timed_out == [True]
+                assert owner.waiting_levels == (3,)
+                wait_until(owner._seat.locked)
+                time.sleep(0.05)
+                other.increment(3)
+                join_all([follower], timeout=1.0 if wake == "fifo" else 5.0)
+            finally:
+                other.close()
+
+    def test_waiting_levels_list_the_seat_holder(self):
+        with ShmCounter.publish(slots=2) as owner:
+            holder = spawn(owner.check, 7)
+            _await_waiters(owner)
+            assert owner.waiting_levels == (7,)
+            assert owner.snapshot().total_waiters == 1
+            follower = spawn(owner.check, 3)
+            _await_waiters(owner, 2)
+            assert owner.waiting_levels == (3, 7)
+            owner.increment(7)
+            join_all([holder, follower], timeout=5.0)
+            assert owner.waiting_levels == ()
+
+    def test_close_with_a_seat_held_wakes_every_waiter(self):
+        """``close`` neither hangs on the seat holder nor pulls the
+        mapping from under its scan: holder and follower each raise the
+        closed-handle error, and no bell is left for writers to ring."""
+        owner = ShmCounter.publish(slots=2)
+        other = ShmCounter.attach(owner.name)
+        errors = []
+
+        def wait(level):
+            try:
+                owner.check(level)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        try:
+            waiters = [spawn(wait, 9)]
+            _await_waiters(owner)
+            waiters.append(spawn(wait, 4))
+            _await_waiters(owner, 2)
+            start = time.monotonic()
+            owner.close()
+            assert time.monotonic() - start < 1.5
+            join_all(waiters, timeout=5.0)
+            assert other.slot_snapshot()[owner.slot].awaited is None
+        finally:
+            other.close()
+            owner.close()
+            owner.unlink()
+        assert len(errors) == 2
+        assert all("closed handle" in message for message in errors), errors
 
     def test_waiter_on_a_reclaimed_slot_is_woken(self, monkeypatch):
         """A SIGKILLed waiter's slot is reclaimed; the writer's cached fd
@@ -443,7 +529,7 @@ class TestFifoWake:
             try:
                 assert successor.slot == 1
                 waiter = spawn(successor.check, 2)
-                wait_until(lambda: _parked(successor))
+                _await_waiters(successor)
                 owner.increment()
                 join_all([waiter], timeout=1.0)
                 assert owner._bell_fds[1][0] == os.getpid()
@@ -451,8 +537,8 @@ class TestFifoWake:
                 successor.close()
 
     def test_wake_with_fifo_fd_past_1023(self):
-        """The watcher's wait takes any fd number (``select`` would
-        reject one past FD_SETSIZE and kill the watcher)."""
+        """The seat's wait takes any fd number (``select`` would reject
+        one past FD_SETSIZE)."""
         if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
             pytest.skip("needs an open-file limit above 1200")
         filler = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
@@ -461,7 +547,7 @@ class TestFifoWake:
                 other = ShmCounter.attach(owner.name)
                 try:
                     waiter = spawn(owner.check, 1)
-                    wait_until(lambda: _parked(owner))
+                    _await_waiters(owner)
                     assert owner._fifo_fd > 1023
                     other.increment()
                     join_all([waiter], timeout=5.0)
@@ -480,7 +566,7 @@ class TestFifoWake:
             # caches a writer fd for the other's.
             for waiting, writer in ((owner, other), (other, owner)):
                 waiter = spawn(waiting.check, waiting.value + 1)
-                wait_until(lambda: _parked(waiting))
+                _await_waiters(waiting)
                 writer.increment()
                 join_all([waiter])
             assert len(_fifos(name)) == 2

@@ -4,9 +4,10 @@ The fork-based counterpart of ``test_obs_dist.py``: a writer child and
 the waiting parent each keep their own event ring, the child ships its
 ring to disk with :func:`repro.obs.collect.write_jsonl` before exiting,
 and the parent merges the rings into one timeline.  The assertions pin
-the cross-process doorbell chain — the writer's ``bell_ring`` and the
-reader's ``bell_wake``/``release`` share one bell correlation token,
-the release and the woken ``unpark`` share one wait token — and the
+the cross-process doorbell chain — the writer's ``bell_ring``, the
+reading seat holder's ``bell_wake`` and its ``unpark`` share one bell
+correlation token, the holder's ``park`` and ``unpark`` one wait token,
+and a follower's ``release`` carries the bell token too — and the
 crash-recovery breadcrumb (a SIGKILLed writer's slot reclaimed with
 ``op="reclaim"`` naming the dead pid).
 
@@ -44,10 +45,11 @@ def _obs_clean_slate():
 def _traced_writer(name: str, ring_path: str, amount: int, go) -> None:
     """Attach, wait for the parent's go signal, ring the bell, ship the ring.
 
-    ``go`` is set by the parent only once its waiter is *parked* (the
-    mirror counts it) — an armed doorbell alone is not enough, because
-    the increment could land in the waiter's post-registration re-scan
-    window and satisfy the check without any park/bell chain to trace.
+    ``go`` is set by the parent only once its waiter is *parked* (its
+    ``park`` event is in the ring) — an armed doorbell alone is not
+    enough, because the increment could land in the waiter's
+    post-registration re-scan window and satisfy the check without any
+    park/bell chain to trace.
     """
     handle = obs.enable()
     with ShmCounter.attach(name) as counter:
@@ -56,8 +58,10 @@ def _traced_writer(name: str, ring_path: str, amount: int, go) -> None:
     write_jsonl(handle.trace.snapshot(), ring_path)
 
 
-def _parked(counter: ShmCounter) -> bool:
-    return counter._mirror.snapshot().total_waiters >= 1
+def _parked(handle, counter: ShmCounter) -> bool:
+    """The seat holder failed its re-scan and is about to poll."""
+    return any(e.kind == "park" and e.source == counter.name
+               for e in handle.trace.snapshot())
 
 
 def _crash_loop(name: str, started) -> None:  # pragma: no cover - SIGKILLed
@@ -78,7 +82,7 @@ class TestBellChainAcrossProcesses:
             child.start()
             handle = obs.enable()
             waiter = spawn(lambda: owner.check(3, timeout=15))
-            wait_until(lambda: _parked(owner))
+            wait_until(lambda: _parked(handle, owner))
             go.set()
             join_all([waiter])
             child.join(10)
@@ -95,18 +99,50 @@ class TestBellChainAcrossProcesses:
         bell = by_kind["bell_ring"]
         assert bell.pid == child.pid
         assert bell.corr is not None and bell.corr.startswith("bell:")
-        # ...the wake, release, and unpark in the parent's, all tied
-        # together by the bell corr and then the wait token.
+        # ...the park, wake and unpark in the parent's: the seat holder
+        # itself woke, so the bell corr runs straight to its return.
         wake = by_kind["bell_wake"]
         assert wake.pid == os.getpid()
         assert wake.corr == bell.corr
+        park, unpark = by_kind["park"], by_kind["unpark"]
+        assert park.pid == unpark.pid == os.getpid()
+        assert unpark.corr == bell.corr
+        assert unpark.token == park.token is not None
+        assert "release" not in by_kind  # no engine hop for a lone waiter
+        assert park.seq < wake.seq < unpark.seq
+
+    def test_follower_release_carries_the_bell_corr(self, tmp_path):
+        """A ring that wakes the seat holder short of its own level is
+        passed on through the mirror: the follower's release names the
+        writer's bell."""
+        child_ring = str(tmp_path / "writer.jsonl")
+        parent_ring = str(tmp_path / "reader.jsonl")
+        with ShmCounter.publish(slots=4) as owner:
+            go = ctx.Event()
+            child = ctx.Process(target=_traced_writer,
+                                args=(owner.name, child_ring, 3, go))
+            child.start()
+            handle = obs.enable()
+            holder = spawn(lambda: owner.check(5, timeout=15))
+            wait_until(lambda: _parked(handle, owner))
+            follower = spawn(lambda: owner.check(3, timeout=15))
+            wait_until(lambda: any(e.kind == "mw_park"
+                                   for e in handle.trace.snapshot()))
+            go.set()
+            join_all([follower])
+            owner.increment(2)
+            join_all([holder])
+            child.join(10)
+            assert child.exitcode == 0
+        write_jsonl(handle.trace.snapshot(), parent_ring)
+        obs.disable()
+
+        merged = merge(load_jsonl(parent_ring), load_jsonl(child_ring))
+        bell = next(e for e in merged if e.kind == "bell_ring")
+        wake = next(e for e in merged if e.kind == "bell_wake")
         release = next(e for e in merged if e.kind == "release")
-        assert release.pid == os.getpid()
-        assert release.corr == bell.corr
-        unpark = next(e for e in merged if e.kind == "unpark")
-        assert unpark.token == release.token
-        # Seq order within the parent: wake before the publish's chain.
-        assert wake.seq < release.seq < unpark.seq
+        assert wake.corr == release.corr == bell.corr
+        assert release.level == 3 and release.pid == os.getpid()
 
     def test_causal_graph_blames_the_writer_process(self, tmp_path):
         child_ring = str(tmp_path / "writer.jsonl")
@@ -117,7 +153,7 @@ class TestBellChainAcrossProcesses:
             child.start()
             handle = obs.enable()
             waiter = spawn(lambda: owner.check(2, timeout=15))
-            wait_until(lambda: _parked(owner))
+            wait_until(lambda: _parked(handle, owner))
             go.set()
             join_all([waiter])
             child.join(10)
