@@ -50,7 +50,6 @@ from repro.core import (
     MonotonicCounter,
     MultiWait,
     ShardedCounter,
-    WaitPolicy,
 )
 from repro.structured import (
     ThreadScope,
@@ -72,7 +71,6 @@ __all__ = [
     "CounterError",
     "CheckTimeout",
     "MultiWait",
-    "WaitPolicy",
     "multithreaded",
     "multithreaded_for",
     "block_range",

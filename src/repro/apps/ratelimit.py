@@ -70,6 +70,26 @@ from repro.core.errors import CheckTimeout
 __all__ = ["RateLimiter", "LocalBackend", "ServiceBackend", "serve_rolls"]
 
 
+def _roll_marks(marks: deque, now: float, horizon: float, admitted: int) -> int | None:
+    """One roll step over a key's ``(timestamp, admitted)`` marks.
+
+    Pops every mark at or before ``horizon`` and re-seats the newest of
+    them at the horizon: it is the tightest sound retire target, and
+    everything older is no longer needed.  Appends ``(now, admitted)``
+    when the count moved since the last mark.  Returns the retire
+    target, or ``None`` when no mark has left the window; the caller
+    does its own retire.
+    """
+    target = None
+    while marks and marks[0][0] <= horizon:
+        target = marks.popleft()[1]
+    if target is not None:
+        marks.appendleft((horizon, target))
+    if not marks or marks[-1][1] != admitted:
+        marks.append((now, admitted))
+    return target
+
+
 class LocalBackend:
     """In-process counters: strict sliding-window guarantee.
 
@@ -327,20 +347,12 @@ class RateLimiter:
         if _sp.enabled:
             _sp.fire("ratelimit.roll", self)
         entry.last_roll = now
-        horizon = now - self.window_s
-        target = None
-        # The newest mark at or before the horizon is the tightest sound
-        # retire target; everything older than it is no longer needed.
-        while entry.marks and entry.marks[0][0] <= horizon:
-            target = entry.marks.popleft()[1]
+        admitted_v = self.backend.admitted_value(entry.admitted)
+        target = _roll_marks(entry.marks, now, now - self.window_s, admitted_v)
         if target is not None:
-            entry.marks.appendleft((horizon, target))
             retired_v = self.backend.retired_value(entry.retired)
             if target > retired_v:
                 entry.retired.increment(target - retired_v)
-        admitted_v = self.backend.admitted_value(entry.admitted)
-        if not entry.marks or entry.marks[-1][1] != admitted_v:
-            entry.marks.append((now, admitted_v))
 
     def roll(self, key: str | None = None, now: float | None = None) -> None:
         """Roll one key's window (or every live key's)."""
@@ -551,16 +563,8 @@ async def serve_rolls(service, *, keys: Iterable[str], limit: int,
         now = time.monotonic()
         horizon = now - window_s
         for i, (admitted_c, retired_c) in enumerate(counters):
-            admitted = admitted_c.value
-            ring = marks[i]
-            target = None
-            while ring and ring[0][0] <= horizon:
-                target = ring.popleft()[1]
-            if target is not None:
-                ring.appendleft((horizon, target))
-                if target > raised[i]:
-                    raised[i] = target
-                    retired_c.raise_source("roll", target)
-            if not ring or ring[-1][1] != admitted:
-                ring.append((now, admitted))
+            target = _roll_marks(marks[i], now, horizon, admitted_c.value)
+            if target is not None and target > raised[i]:
+                raised[i] = target
+                retired_c.raise_source("roll", target)
         await asyncio.sleep(interval)

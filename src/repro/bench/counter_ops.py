@@ -20,14 +20,8 @@ repo root in CI) so successive PRs accumulate a recorded perf trajectory:
 * ``handoff_pingpong`` — two threads in strict alternation, each
   incrementing its own counter and checking the other's, so every
   roundtrip crosses the wakeup path twice and neither side can run
-  ahead.  ``linked`` is the build-dependent default policy (park-only
-  under the GIL); ``linked_spin`` forces the spin-then-park policy.  On
-  serial hosts (GIL build or one CPU) a spinner holds the interpreter
-  away from the incrementer while a parked thread is woken promptly by
-  the slot set, so ``SPIN_THEN_PARK`` *degrades its spin budget to
-  zero* there (``park_on_serial_hosts``) and the two variants should
-  measure the same; genuinely parallel hosts keep the spin and are
-  expected to win with it.
+  ahead: every round is a missed ``check`` that parks and a release
+  that wakes it.
 * ``multiwait_join`` — one consumer joining N flow-controlled producers
   every round: subscription-based
   :class:`~repro.core.multiwait.MultiWait` versus the sequential check
@@ -57,26 +51,16 @@ from repro.bench import runner
 from repro.bench.runner import entry, ratio
 from repro.bench.timing import Timing, measure
 from repro.bench.workloads import spread_waiters
-from repro.core import (
-    SPIN_THEN_PARK,
-    BroadcastCounter,
-    MonotonicCounter,
-    MultiWait,
-    ShardedCounter,
-)
+from repro.core import BroadcastCounter, MonotonicCounter, MultiWait, ShardedCounter
 
 __all__ = ["run_counter_ops", "render", "main"]
 
 #: The counter configurations every series is run against.  ``linked`` is
-#: the optimized default (park-only under the GIL, spin-then-park on
-#: free-threaded builds); ``linked_spin`` forces the adaptive
-#: spin-then-park policy so both sides of the build-dependent default are
-#: always measured; ``linked_locked`` reproduces the seed's behavior
+#: the optimized default; ``linked_locked`` reproduces the seed's behavior
 #: (every check through the lock, stats bookkeeping always on) so the
 #: fast-path speedup is measured on the same machine in the same run.
 FACTORIES: dict[str, Callable[[], object]] = {
     "linked": lambda: MonotonicCounter(strategy="linked"),
-    "linked_spin": lambda: MonotonicCounter(strategy="linked", policy=SPIN_THEN_PARK),
     "linked_locked": lambda: MonotonicCounter(strategy="linked", fast_path=False, stats=True),
     "heap": lambda: MonotonicCounter(strategy="heap"),
     "broadcast": lambda: BroadcastCounter(),
@@ -84,10 +68,10 @@ FACTORIES: dict[str, Callable[[], object]] = {
 }
 
 #: Implementations that make sense for the blocking fan-in series.
-FAN_IN = ("linked", "linked_spin", "heap", "broadcast", "sharded")
+FAN_IN = ("linked", "heap", "broadcast", "sharded")
 
 #: Implementations raced in the ping-pong handoff series.
-HANDOFF = ("linked", "linked_spin", "broadcast")
+HANDOFF = ("linked", "broadcast")
 
 #: Series the --compare-to regression gate inspects.
 GATED_SERIES = (
@@ -385,12 +369,6 @@ def run_counter_ops(*, quick: bool = False) -> dict:
             "immediate_check_fast_path_speedup": ratio(
                 ops("immediate_check", "linked"), ops("immediate_check", "linked_locked")
             ),
-            # ≈ 1 on serial hosts (SPIN_THEN_PARK's budget degrades to
-            # zero there — see WaitPolicy.park_on_serial_hosts), > 1
-            # expected on free-threaded multi-CPU hosts.
-            "handoff_spin_vs_default": ratio(
-                ops("handoff_pingpong", "linked_spin"), ops("handoff_pingpong", "linked")
-            ),
             # < 1 in this one-shot-join shape (see module docstring) —
             # the reason check_all stays sequential.
             "multiwait_subscription_vs_sequential": ratio(
@@ -419,7 +397,6 @@ def render(doc: dict) -> list[str]:
     return [
         "immediate-check fast path vs locked seed path: "
         f"{derived['immediate_check_fast_path_speedup']:.2f}x",
-        f"handoff spin-then-park vs default policy: {derived['handoff_spin_vs_default']:.2f}x",
         "multiwait subscription vs sequential join: "
         f"{derived['multiwait_subscription_vs_sequential']:.2f}x",
         "obs enabled vs disabled, immediate check: "

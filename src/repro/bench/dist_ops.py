@@ -132,9 +132,10 @@ def _bench_shm_check(sizes: dict) -> dict:
 # ------------------------------------------------------- increment scaling
 
 
-def _scaling_worker(name: str, count: int, barrier) -> None:
+def _scaling_worker(name: str, count: int, ready, go) -> None:
     with ShmCounter.attach(name) as counter:
-        barrier.wait()
+        ready.wait()
+        go.wait()
         increment = counter.increment
         for _ in range(count):
             increment()
@@ -148,18 +149,22 @@ def _bench_shm_scaling(sizes: dict) -> dict:
         samples = []
         for _ in range(max(2, sizes["repeats"] - 2)):
             with ShmCounter.publish(slots=nprocs + 1) as counter:
-                barrier = ctx.Barrier(nprocs + 1)
+                ready = ctx.Barrier(nprocs + 1)
+                go = ctx.Event()
                 workers = [
                     ctx.Process(
                         target=_scaling_worker,
-                        args=(counter.name, per_proc, barrier),
+                        args=(counter.name, per_proc, ready, go),
                     )
                     for _ in range(nprocs)
                 ]
                 for worker in workers:
                     worker.start()
-                barrier.wait()  # all attached and ready: time only the work
+                ready.wait()  # all attached: time only the work
+                # The clock starts before the go signal, so no worker can
+                # finish its increments before the sample begins.
                 start = time.perf_counter()
+                go.set()
                 counter.check(nprocs * per_proc, timeout=120)
                 samples.append(time.perf_counter() - start)
                 for worker in workers:

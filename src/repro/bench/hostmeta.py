@@ -1,15 +1,11 @@
 """Host metadata stamped into every benchmark result document.
 
-A benchmark number is only interpretable next to the facts that decide
-which code paths it exercised.  For this codebase the load-bearing one
-is the *effective wait policy*: :data:`~repro.core.waitlist.SERIAL_HOST`
-(GIL build, or one CPU) makes counters built with
-``park_on_serial_hosts=True`` zero their effective spin budget, so the
-same benchmark measures spin-then-park on one host and pure parking on
-another.  History comparisons (``append_history`` / ``compare``) are
-only meaningful between runs whose ``effective_policy`` blocks agree —
-the CI gate runs baseline and candidate on the same runner for exactly
-this reason.
+A benchmark number is only interpretable next to the host that produced
+it: the interpreter and its build (``gil_enabled`` decides whether
+threads can run Python code in parallel at all), the platform, and the
+CPU count.  History comparisons (``append_history`` / ``compare``) are
+only meaningful between runs whose host blocks agree — the CI gate runs
+baseline and candidate on the same runner for exactly this reason.
 """
 
 from __future__ import annotations
@@ -18,29 +14,21 @@ import os
 import platform
 import sys
 
-from repro.core.waitlist import DEFAULT_WAIT_POLICY, SERIAL_HOST, _gil_enabled
-
 __all__ = ["host_metadata"]
 
 
+def _gil_enabled() -> bool:
+    # Python 3.13+ free-threaded builds expose sys._is_gil_enabled();
+    # its absence means a GIL build.
+    return bool(getattr(sys, "_is_gil_enabled", lambda: True)())
+
+
 def host_metadata() -> dict:
-    """Interpreter, host, and effective-wait-policy facts for a result doc."""
-    policy = DEFAULT_WAIT_POLICY
-    serial_degraded = policy.park_on_serial_hosts and SERIAL_HOST
+    """Interpreter and host facts for a result doc."""
     return {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "gil_enabled": _gil_enabled(),
-        "serial_host": SERIAL_HOST,
-        "effective_policy": {
-            "default": "PARK_ONLY" if policy.spin == 0 else "SPIN_THEN_PARK",
-            "spin": policy.spin,
-            "park_on_serial_hosts": policy.park_on_serial_hosts,
-            # True when SERIAL_HOST zeroed the spin budget: the run
-            # measured pure parking even though the policy says spin.
-            "serial_degraded_to_park": serial_degraded,
-            "effective_spin": 0 if serial_degraded else policy.spin,
-        },
     }

@@ -34,7 +34,6 @@ from repro.core.multiwait import MultiWait, barrier_levels, check_all, checkpoin
 from repro.core.sharded import ShardedCounter, ShardSnapshot
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.stats import NOOP_STATS, CounterStats, NoopStats
-from repro.core.waitlist import DEFAULT_WAIT_POLICY, PARK_ONLY, SPIN_THEN_PARK, WaitPolicy
 
 __all__ = [
     "AbstractCounter",
@@ -56,10 +55,6 @@ __all__ = [
     "NOOP_STATS",
     "MultiWait",
     "CounterSubscription",
-    "WaitPolicy",
-    "DEFAULT_WAIT_POLICY",
-    "PARK_ONLY",
-    "SPIN_THEN_PARK",
     "check_all",
     "checkpoint",
     "barrier_levels",

@@ -15,12 +15,11 @@ This is the paper's §7 implementation, transliterated to
 ``check(level)`` with ``level <= value`` returns immediately — by default
 from a lock-free read of the value, sound because the enabling condition
 is *stable* (the value never decreases, so a stale satisfied read can
-never be wrong later).  A check that misses may then *spin* briefly on
-the same lock-free read (bounded, adaptive, free-threaded multi-CPU
-hosts only by default — see :class:`~repro.core.waitlist.WaitPolicy`)
-before it finds-or-inserts the node for ``level``, bumps its count, and
-parks on its thread's engine slot (timed waits additionally arm one
-entry on the shared timer wheel).  ``increment(amount)`` bumps the
+never be wrong later).  A check that misses goes straight to the
+paper's suspend step: it finds-or-inserts the node for ``level``, bumps
+its count, and parks on its thread's engine slot (timed waits that
+outlive a short grace additionally arm one entry on the shared timer
+wheel).  ``increment(amount)`` bumps the
 value, unlinks every satisfied node **inside** the counter lock, then
 wakes them in one coalesced pass **outside** it: one slot set per
 waiter, each woken thread handed its already-satisfied node so it never
@@ -63,15 +62,7 @@ from repro.core.errors import CheckTimeout, CounterOverflowError, ResetConcurren
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.stats import NOOP_STATS, CounterStats
 from repro.core.validation import validate_amount, validate_level, validate_timeout
-from repro.core.waitlist import (
-    DEFAULT_WAIT_POLICY,
-    SERIAL_HOST,
-    HeapWaitList,
-    LinkedWaitList,
-    WaitList,
-    WaitNode,
-    WaitPolicy,
-)
+from repro.core.waitlist import HeapWaitList, LinkedWaitList, WaitList, WaitNode
 
 #: Every timed park arms the process-wide timer wheel (one sweeper for
 #: all counters); the wheel — and its two hot methods — are bound once
@@ -174,17 +165,9 @@ class MonotonicCounter(AbstractCounter):
     fast_path:
         ``True`` (default) lets an already-satisfied ``check`` return from
         an unsynchronized read of the value without ever touching the
-        lock, and enables the policy's spin phase.  ``False`` forces every
-        ``check`` through the lock — the pre-optimization behavior, kept
-        selectable so the benchmark harness can measure what the fast
-        path buys.
-    policy:
-        A :class:`~repro.core.waitlist.WaitPolicy` tuning the
-        spin-then-park wait loop; defaults to the build-dependent
-        :data:`~repro.core.waitlist.DEFAULT_WAIT_POLICY`
-        (:data:`~repro.core.waitlist.PARK_ONLY` under the GIL,
-        :data:`~repro.core.waitlist.SPIN_THEN_PARK` on free-threaded
-        builds).
+        lock.  ``False`` forces every ``check`` through the lock — the
+        pre-optimization behavior, kept selectable so the benchmark
+        harness can measure what the fast path buys.
     """
 
     __slots__ = (
@@ -199,8 +182,6 @@ class MonotonicCounter(AbstractCounter):
         "_name",
         "_stats_on",
         "_fast_path",
-        "_policy",
-        "_spin",
         "_live_levels",
         "_live_waiters",
         # Memoized observability label (repro.obs.registry.label writes it
@@ -220,7 +201,6 @@ class MonotonicCounter(AbstractCounter):
         name: str | None = None,
         stats: bool = False,
         fast_path: bool = True,
-        policy: WaitPolicy | None = None,
     ) -> None:
         self._lock = threading.Lock()
         # Bound methods of the raw lock for the two hot critical
@@ -251,21 +231,6 @@ class MonotonicCounter(AbstractCounter):
         self._max_value = max_value
         self._name = name
         self._fast_path = bool(fast_path)
-        if policy is None:
-            policy = DEFAULT_WAIT_POLICY
-        elif not isinstance(policy, WaitPolicy):
-            raise TypeError(f"policy must be a WaitPolicy, got {policy!r}")
-        self._policy = policy
-        # The adaptive spin budget.  Read and written without the lock by
-        # design: it is a heuristic, and losing a race on its update can
-        # only make a wait spin a little more or less than intended.
-        # Policies that opt in (SPIN_THEN_PARK) degrade to park-only on
-        # serial hosts, where a spinner can only ever delay the
-        # incrementer it is waiting for.
-        if policy.park_on_serial_hosts and SERIAL_HOST:
-            self._spin = 0
-        else:
-            self._spin = policy.spin
         # Live-level / live-waiter counts, maintained incrementally so the
         # suspend path's high-water bookkeeping is O(1) instead of the
         # former O(L) ``len(waiters)`` / ``sum(node.count ...)`` scans.
@@ -284,11 +249,6 @@ class MonotonicCounter(AbstractCounter):
         """Current value.  Diagnostic only — synchronize with ``check``."""
         with self._lock:
             return self._value
-
-    @property
-    def policy(self) -> WaitPolicy:
-        """The wait policy this counter suspends under."""
-        return self._policy
 
     def increment(self, amount: int = 1) -> int:
         """Atomically add ``amount`` and wake all newly-satisfied waiters.
@@ -412,11 +372,10 @@ class MonotonicCounter(AbstractCounter):
     def check(self, level: int, timeout: float | None = None) -> None:
         """Suspend the calling thread until ``value >= level``.
 
-        The wait is *spin-then-park*: after the lock-free fast path
-        misses, a bounded number of further lock-free re-reads (the
-        policy's spin budget — zero under the default GIL-build policy
-        and on serial hosts) run before the thread registers a wait
-        node and parks on its per-thread engine slot.
+        As in §7, a check the lock-free fast path cannot satisfy
+        re-tests under the counter lock, registers on the level's wait
+        node, and parks on its per-thread engine slot until the
+        satisfying increment's release pass sets it.
         """
         # Same inline-accept trick as increment(): the fast path below is
         # the hottest statement in the package and must not pay two
@@ -425,7 +384,6 @@ class MonotonicCounter(AbstractCounter):
             level = validate_level(level)
         if timeout is not None and (type(timeout) is not float or timeout < 0.0):
             timeout = validate_timeout(timeout)
-        deadline: float | None = None
         # Lock-free fast path.  Soundness rests on stability (§6): the value
         # only ever increases (there is no decrement, and reset() contractually
         # requires quiescence), and every write happens before the lock is
@@ -433,8 +391,7 @@ class MonotonicCounter(AbstractCounter):
         # shows value >= level, the condition held at some earlier moment and
         # — being stable — holds now and forever: returning without the lock
         # is safe.  A stale read can only err in the other direction, sending
-        # us to the spin phase and then the locked slow path, which re-tests
-        # under the lock.
+        # us to the locked slow path, which re-tests under the lock.
         if self._fast_path:
             if self._value >= level:
                 if self._stats_on:
@@ -442,20 +399,6 @@ class MonotonicCounter(AbstractCounter):
                     # tally is preferable to re-serializing the fast path.
                     self.stats.immediate_checks += 1
                 return
-            budget = self._spin
-            if budget and timeout != 0.0:
-                if timeout is not None:
-                    deadline = time.monotonic() + timeout
-                if self._spin_wait(level, budget):
-                    return
-                if _obs.enabled:
-                    # Off the spin loop itself — only the fall-through to
-                    # the slow path pays the (branch-only) emission.
-                    _obs.on_spin_exhausted(self, level, budget)
-                if deadline is not None:
-                    timeout = deadline - time.monotonic()
-                    if timeout < 0.0:
-                        timeout = 0.0
         # The engine handle this wait parks on: always the thread's
         # reusable slot — timed waits park on it too (staged parking;
         # see _park), swapping in a claim-guarded WheelEntry only if
@@ -498,33 +441,7 @@ class MonotonicCounter(AbstractCounter):
             # as the park time so the slow path reads the clock once here.
             t_parked = _obs.on_park(self, level, self._value, self._live_levels,
                                     self._live_waiters, node.token)
-        self._park(node, waiter, level, timeout, deadline, t_parked)
-
-    def _spin_wait(self, level: int, budget: int) -> bool:
-        """Bounded lock-free re-reads of the value; True if satisfied."""
-        policy = self._policy
-        yield_every = policy.yield_every
-        countdown = yield_every
-        for _ in range(budget):
-            if self._value >= level:
-                if policy.adaptive:
-                    # Reward: the spin avoided a park — spend longer next time.
-                    grown = budget << 1
-                    self._spin = policy.spin_max if grown > policy.spin_max else grown
-                if self._stats_on:
-                    self.stats.spin_checks += 1
-                return True
-            if yield_every:
-                countdown -= 1
-                if countdown == 0:
-                    countdown = yield_every
-                    # Yield the GIL so the incrementer we are waiting on
-                    # can actually run.
-                    time.sleep(0)
-        if policy.adaptive:
-            shrunk = budget >> 1
-            self._spin = policy.spin_min if shrunk < policy.spin_min else shrunk
-        return False
+        self._park(node, waiter, level, timeout, t_parked)
 
     def _park(
         self,
@@ -532,7 +449,6 @@ class MonotonicCounter(AbstractCounter):
         waiter,
         level: int,
         timeout: float | None,
-        deadline: float | None,
         t_parked: float | None = None,
     ) -> None:
         """Park on the engine until the release sets our slot or a
@@ -590,14 +506,13 @@ class MonotonicCounter(AbstractCounter):
                 try:
                     if not node.released:
                         now = time.monotonic()
-                        if deadline is None:
-                            # Anchored at grace expiry rather than at
-                            # check() entry: the armed deadline can only
-                            # be *later* than the true one, so timeouts
-                            # may land late (like any OS timed wait) but
-                            # never early.  Spares the hot timed path a
-                            # clock read it usually never needs.
-                            deadline = now + (timeout - grace)
+                        # Anchored at grace expiry rather than at
+                        # check() entry: the armed deadline can only be
+                        # *later* than the true one, so timeouts may
+                        # land late (like any OS timed wait) but never
+                        # early.  Spares the hot timed path a clock read
+                        # it usually never needs.
+                        deadline = now + (timeout - grace)
                         if deadline > now:
                             entry = WheelEntry(slot, deadline)
                             handles = node.waiters
@@ -620,10 +535,8 @@ class MonotonicCounter(AbstractCounter):
                     return
         # Timeout verdict in slot mode: the grace wait expired with the
         # whole budget spent (timeout < grace), the deadline had already
-        # lapsed at escalation, an instant probe (timeout == 0.0, also
-        # a spin phase that burned the whole budget — the spin
-        # fall-through clamps the remainder to exactly 0.0), or the
-        # release landed during the grace (adjudication sees it and
+        # lapsed at escalation, an instant probe (timeout == 0.0), or
+        # the release landed during the grace (adjudication sees it and
         # consumes the pending set).  Never arms the wheel; the verdict
         # is provisional until adjudicated under the counter lock.
         if _sp.enabled:

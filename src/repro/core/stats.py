@@ -36,16 +36,13 @@ class CounterStats:
     null object instead, so production paths pay zero bookkeeping.
 
     Note on accuracy: a counter's lock-free ``check`` fast path records
-    ``immediate_checks`` (and the spin phase ``spin_checks`` — checks
-    satisfied while spinning, before parking) outside the lock, so under
-    heavy contention those tallies may slightly undercount (lost
-    read-modify-write races).  All other tallies are updated under the
-    counter lock and are exact.
+    ``immediate_checks`` outside the lock, so under heavy contention
+    that tally may slightly undercount (lost read-modify-write races).
+    All other tallies are updated under the counter lock and are exact.
     """
 
     increments: int = 0
     immediate_checks: int = 0
-    spin_checks: int = 0
     suspended_checks: int = 0
     timeouts: int = 0
     nodes_created: int = 0
@@ -60,7 +57,7 @@ class CounterStats:
     @property
     def checks(self) -> int:
         """Total ``check`` calls observed."""
-        return self.immediate_checks + self.spin_checks + self.suspended_checks
+        return self.immediate_checks + self.suspended_checks
 
     def note_levels(self, live_levels: int, live_waiters: int) -> None:
         """Record a high-water observation of live levels/waiters."""
@@ -76,7 +73,7 @@ class CounterStats:
         (:meth:`repro.obs.metrics.MetricsRegistry.snapshot` and its
         Prometheus twin) folds into its output for every live counter
         carrying opt-in stats.  The fast-path accuracy caveat above
-        applies to ``immediate_checks``/``spin_checks`` here too.
+        applies to ``immediate_checks`` here too.
         """
         doc = asdict(self)
         doc["checks"] = self.checks
@@ -87,7 +84,6 @@ class CounterStats:
         return CounterStats(
             increments=self.increments,
             immediate_checks=self.immediate_checks,
-            spin_checks=self.spin_checks,
             suspended_checks=self.suspended_checks,
             timeouts=self.timeouts,
             nodes_created=self.nodes_created,
@@ -112,7 +108,6 @@ class NoopStats:
 
     increments = 0
     immediate_checks = 0
-    spin_checks = 0
     suspended_checks = 0
     timeouts = 0
     nodes_created = 0

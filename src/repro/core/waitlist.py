@@ -1,4 +1,4 @@
-"""Waiting-list strategies and the wait policy for monotonic counters.
+"""Waiting-list strategies for monotonic counters.
 
 Section 7 of the paper represents a counter's suspended threads as *"a
 dynamically changing ordered list of condition variables, with one node for
@@ -27,32 +27,11 @@ split is what lets ``increment`` hand a whole batch of satisfied levels
 their wakeups *outside* the counter lock, so woken threads resume
 without re-convoying through it (see the no-lost-wakeup argument in
 ``docs/api.md`` and the slot mapping in ``docs/engine.md``).
-
-:class:`WaitPolicy` tunes the suspend side: a ``check`` that misses the
-fast path may first *spin* on the monotone value (bounded, lock-free,
-sound by stability) before paying for the slot park.  The spin budget
-adapts per counter: satisfied-while-spinning grows it, a futile spin
-shrinks it.  Whether spinning is worth anything depends on the runtime:
-on free-threaded multi-CPU hosts the incrementer runs in parallel with
-the spinner, so short handoffs complete without a park; under the GIL —
-or on a single-CPU host, whatever the build — the value *cannot*
-advance while the spinner runs, and a parked thread is woken far sooner
-(the slot set forces the handoff) than a spinner regains a satisfied
-read — measured at ~5x slower on the ping-pong benchmark.  The default
-policy keys on the build (:data:`PARK_ONLY` when the GIL is enabled,
-:data:`SPIN_THEN_PARK` when it is not), and :data:`SPIN_THEN_PARK`
-additionally carries ``park_on_serial_hosts=True`` so a counter
-constructed with it on a serial host (GIL build or ``os.cpu_count() <=
-1``) zeroes its effective spin budget instead of pessimizing every
-handoff.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import sys
-from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
 from repro.core import syncpoints as _sp
@@ -60,110 +39,11 @@ from repro.core.snapshot import WaitNodeSnapshot
 from repro.obs.events import next_token as _next_token
 
 __all__ = [
-    "WaitPolicy",
-    "DEFAULT_WAIT_POLICY",
-    "PARK_ONLY",
-    "SPIN_THEN_PARK",
-    "SERIAL_HOST",
     "WaitNode",
     "WaitList",
     "LinkedWaitList",
     "HeapWaitList",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class WaitPolicy:
-    """How a ``check`` that cannot return immediately should wait.
-
-    A missed check first spins — bounded lock-free re-reads of the
-    counter's monotone value — and only then parks on the level's
-    condition variable.  Spinning is sound for exactly the reason the
-    fast path is: the awaited predicate is *stable*, so a stale
-    satisfied read can never be wrong.  Under the GIL a tight loop would
-    starve the incrementing thread, so the spin yields the interpreter
-    (``time.sleep(0)``) every ``yield_every`` iterations.
-
-    Parameters
-    ----------
-    spin:
-        Initial spin budget (re-reads) before parking.  ``0`` disables
-        spinning entirely (pure park — the pre-overhaul behavior).
-    spin_min / spin_max:
-        Bounds for the adaptive budget.  With ``adaptive=True`` the
-        counter doubles its budget each time a spin is satisfied and
-        halves it each time one parks anyway, clamped to this range.
-        ``spin_min`` should stay >= 1 when spinning is wanted at all,
-        or a shrunk-to-zero budget could never recover.
-    yield_every:
-        Yield the GIL after this many spin iterations (``0`` never
-        yields — only safe on free-threaded builds).
-    adaptive:
-        ``False`` pins the budget at ``spin`` forever.
-    park_on_serial_hosts:
-        ``True`` lets a counter zero its *effective* spin budget when
-        the host cannot run the incrementer concurrently with the
-        spinner (GIL-enabled build, or a single-CPU machine even
-        free-threaded).  On such hosts every spin iteration only delays
-        the thread that would satisfy it — measured at ~5x slower on
-        the 1-CPU ping-pong bench — so :data:`SPIN_THEN_PARK` sets this
-        flag and degrades gracefully instead of pessimizing.  The
-        policy's declared ``spin`` values are untouched (this is a
-        per-counter effective-budget decision, so explicitly-tuned
-        custom policies keep exactly what they asked for).
-    """
-
-    spin: int = 96
-    spin_min: int = 4
-    spin_max: int = 1024
-    yield_every: int = 8
-    adaptive: bool = True
-    park_on_serial_hosts: bool = False
-
-    def __post_init__(self) -> None:
-        for field_name in ("spin", "spin_min", "spin_max", "yield_every"):
-            value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{field_name} must be a nonnegative int, got {value!r}")
-        if self.spin_min > self.spin_max:
-            raise ValueError(
-                f"spin_min ({self.spin_min}) must not exceed spin_max ({self.spin_max})"
-            )
-        if not self.spin_min <= self.spin <= self.spin_max:
-            raise ValueError(
-                f"spin ({self.spin}) must lie in [spin_min, spin_max] "
-                f"= [{self.spin_min}, {self.spin_max}]"
-            )
-
-
-#: The adaptive spin-then-park policy.  Worth it only when the
-#: incrementer can actually run while the checker spins, so it opts in
-#: to the serial-host park-only degradation (see ``park_on_serial_hosts``).
-SPIN_THEN_PARK = WaitPolicy(park_on_serial_hosts=True)
-
-#: Never spin: park on the engine slot immediately.
-PARK_ONLY = WaitPolicy(spin=0, spin_min=0, spin_max=0)
-
-
-def _gil_enabled() -> bool:
-    # Python 3.13+ free-threaded builds expose sys._is_gil_enabled();
-    # its absence means a GIL build.
-    return bool(getattr(sys, "_is_gil_enabled", lambda: True)())
-
-
-#: True when the incrementer cannot make progress while a checker spins:
-#: a GIL-enabled build (one thread holds the interpreter), or a host
-#: with a single CPU (nowhere for the incrementer to run) even
-#: free-threaded.  Computed once at import; counters consult it when
-#: their policy carries ``park_on_serial_hosts=True``.
-SERIAL_HOST = _gil_enabled() or (os.cpu_count() or 1) <= 1
-
-
-#: Build-dependent default.  Under the GIL a spinner holds the
-#: interpreter away from the incrementer (``time.sleep(0)`` does not
-#: force a switch), so parking wins by a wide measured margin; with the
-#: GIL disabled the spin phase turns short handoffs into lock-free hits.
-DEFAULT_WAIT_POLICY = PARK_ONLY if _gil_enabled() else SPIN_THEN_PARK
 
 
 class WaitNode:

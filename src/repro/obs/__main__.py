@@ -55,7 +55,7 @@ import repro.obs as obs
 
 def _demo_workload() -> None:
     """A few milliseconds of representative traffic: parks, wakeups,
-    a spin exhaustion or two, a genuine timeout, and shard flushes."""
+    a genuine timeout, and shard flushes."""
     import threading
 
     from repro.core import CheckTimeout, MonotonicCounter, ShardedCounter

@@ -1,8 +1,8 @@
 """Typed trace events and the bounded ring buffer they land in.
 
 One :class:`Event` is recorded per observable protocol action — an
-increment, a release, a park/unpark pair, a spin exhaustion, a timeout, a
-subscription fire, a shard flush, a stall report — when tracing is
+increment, a release, a park/unpark pair, a timeout, a subscription
+fire, a shard flush, a stall report — when tracing is
 enabled via :func:`repro.obs.enable`.  Events are immutable named
 tuples so they serialize trivially (``as_dict`` drops unused fields),
 a sink can pattern-match on ``kind`` without string parsing beyond the
@@ -82,7 +82,6 @@ KINDS = frozenset(
         "release",         # one wait node unlinked by an increment (level, waiters)
         "park",            # a check registered and is about to suspend
         "unpark",          # a suspended check resumed (wait + wakeup latency)
-        "spin_exhausted",  # the spin phase burned its budget and fell to park
         "timeout",         # a check's wait expired (genuine timeout)
         "sub_fire",        # a level's subscription callbacks are about to run
         "flush",           # a shard published its pending batch centrally

@@ -44,7 +44,7 @@ def merge_histograms(into: dict, other: dict) -> dict:
 _SERIES_TALLIES = ("increments", "releases", "parks", "unparks",
                    "timeouts", "flushes")
 _SERIES_HIGH_WATERS = ("live_levels_hw", "live_waiters_hw")
-_SERIES_HISTOGRAMS = ("wait_latency", "wakeup_latency", "spin_exhausted")
+_SERIES_HISTOGRAMS = ("wait_latency", "wakeup_latency")
 
 
 def merge_series(into: dict, other: dict) -> dict:
@@ -142,7 +142,6 @@ def render_fleet(nodes: list[dict]) -> str:
     histograms = (
         ("wait_latency", "repro_counter_wait_latency_seconds", "Park-to-unpark latency of suspended checks (fleet)"),
         ("wakeup_latency", "repro_counter_wakeup_latency_seconds", "Release-to-unpark latency (fleet)"),
-        ("spin_exhausted", "repro_counter_spin_exhausted_iterations", "Spin budgets burned without satisfaction (fleet)"),
     )
     for attr, metric, help_text in counters:
         lines.append(f"# HELP {metric} {help_text}")

@@ -12,9 +12,9 @@ compiles to
 so the disabled cost is one module-attribute read and an untaken branch
 — and, exactly as with the sync points, **no site lies on the lock-free
 fast paths** (`MonotonicCounter.check`'s immediate return, the sharded
-counter's published-value return, the spin loop's inner iterations): an
-already-satisfied ``check`` never touches this module at all, so its
-cost is unchanged *by construction*, enabled or not.  The quick bench's
+counter's published-value return): an already-satisfied ``check`` never
+touches this module at all, so its cost is unchanged *by construction*,
+enabled or not.  The quick bench's
 ``obs_overhead`` series records the measurement.
 
 ``enabled`` is flipped only by :func:`repro.obs.enable` /
@@ -381,19 +381,6 @@ def on_wake(counter: object, node: object | None, level: int,
               level, None, None, None,
               wait_s, wakeup_s, next_seq(), token, None,
               None, None, corr))
-
-
-def on_spin_exhausted(counter: object, level: int, budget: int) -> None:
-    """The spin phase burned ``budget`` re-reads and fell through to park."""
-    src = label(counter)
-    metrics = _metrics
-    if metrics is not None:
-        metrics.series(src).spin_exhausted.observe(float(budget))
-    emit = _emit
-    if emit is not None:
-        emit((clock(), "spin_exhausted", src, _get_ident(),
-              level, None, budget, None,
-              None, None, next_seq(), None, None, None, None, None))
 
 
 def on_timeout(

@@ -8,8 +8,6 @@ how long*; these metrics quantify exactly that on a live system:
 * ``wakeup_latency`` — release decision to unpark (the wakeup path PR-2
   optimized, measured end to end in production rather than only on the
   bench);
-* ``spin_exhausted`` — spin budgets that were burned without satisfying
-  the level (how often the spin phase pays for nothing);
 * ``live_levels`` / ``live_waiters`` high-water marks — the L of the
   paper's O(L) bounds, observed rather than asserted.
 
@@ -44,16 +42,12 @@ __all__ = [
     "CounterMetrics",
     "MetricsRegistry",
     "LATENCY_BOUNDS",
-    "SPIN_BOUNDS",
     "quantile_from_buckets",
 ]
 
 #: Exponential latency buckets: 1µs .. ~8s, doubling.  The +Inf bucket is
 #: implicit (the final slot of ``Histogram.buckets``).
 LATENCY_BOUNDS: tuple[float, ...] = tuple(1e-6 * 2**k for k in range(24))
-
-#: Spin-iteration buckets: 1 .. 2**20, doubling.
-SPIN_BOUNDS: tuple[float, ...] = tuple(float(1 << k) for k in range(21))
 
 
 def quantile_from_buckets(
@@ -249,7 +243,6 @@ class CounterMetrics:
     __slots__ = (
         "wait_latency",
         "wakeup_latency",
-        "spin_exhausted",
         "live_levels_hw",
         "live_waiters_hw",
         "increments",
@@ -263,7 +256,6 @@ class CounterMetrics:
     def __init__(self) -> None:
         self.wait_latency = Histogram(LATENCY_BOUNDS)
         self.wakeup_latency = Histogram(LATENCY_BOUNDS)
-        self.spin_exhausted = Histogram(SPIN_BOUNDS)
         self.live_levels_hw = 0
         self.live_waiters_hw = 0
         self.increments = 0
@@ -293,7 +285,6 @@ class CounterMetrics:
             "live_waiters_hw": self.live_waiters_hw,
             "wait_latency": self.wait_latency.snapshot(),
             "wakeup_latency": self.wakeup_latency.snapshot(),
-            "spin_exhausted": self.spin_exhausted.snapshot(),
         }
 
 
@@ -342,7 +333,7 @@ class MetricsRegistry:
 
     # ------------------------------------------------- interval snapshots
 
-    _HISTOGRAMS = ("wait_latency", "wakeup_latency", "spin_exhausted")
+    _HISTOGRAMS = ("wait_latency", "wakeup_latency")
     _TALLIES = ("increments", "releases", "parks", "unparks",
                 "timeouts", "flushes")
 
@@ -430,7 +421,7 @@ class MetricsRegistry:
 
         Only counters constructed with ``stats=True`` contribute (the
         ``NOOP_STATS`` null object identifies itself via ``enabled``);
-        the per-tally caveats — ``immediate_checks``/``spin_checks`` may
+        the per-tally caveats — ``immediate_checks`` may
         undercount under contention, everything else is exact — carry
         over unchanged and are quantified by
         ``tests/obs/test_stats_undercount.py``.
@@ -470,7 +461,6 @@ class MetricsRegistry:
         histograms = (
             ("wait_latency", "repro_counter_wait_latency_seconds", "Park-to-unpark latency of suspended checks"),
             ("wakeup_latency", "repro_counter_wakeup_latency_seconds", "Release-to-unpark latency (the wakeup path)"),
-            ("spin_exhausted", "repro_counter_spin_exhausted_iterations", "Spin budgets burned without satisfaction"),
         )
         series = sorted(self._series.items())
         for attr, metric, help_text in counters:

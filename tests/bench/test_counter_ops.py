@@ -36,12 +36,10 @@ class TestRunCounterOps:
                 assert entry["ops_per_sec"] > 0
                 assert entry["mean_s"] > 0
         assert doc["derived"]["immediate_check_fast_path_speedup"] > 0
-        assert doc["derived"]["handoff_spin_vs_default"] > 0
         assert doc["derived"]["multiwait_subscription_vs_sequential"] > 0
 
     def test_fan_in_covers_blocking_implementations(self, doc):
         assert set(doc["series"]["fan_in_wakeup"]) == set(FAN_IN)
-        assert "linked_spin" in FAN_IN  # default vs forced-spin is comparable
 
     def test_handoff_compares_wait_policies(self, doc):
         assert set(doc["series"]["handoff_pingpong"]) == set(HANDOFF)

@@ -7,11 +7,15 @@ from __future__ import annotations
 
 import copy
 import json
+import time
+import types
 
 import pytest
 
+from repro.bench import dist_ops
 from repro.bench.dist_ops import GATED_SERIES, main
 from repro.bench.runner import compare
+from repro.dist.shm import ShmCounter
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +39,10 @@ class TestRunDistOps:
                 assert entry["ops_per_sec"] > 0
                 assert entry["mean_s"] > 0
 
-    def test_host_metadata_carries_effective_policy(self, doc):
-        policy = doc["effective_policy"]
-        assert policy["default"] in ("PARK_ONLY", "SPIN_THEN_PARK")
-        assert isinstance(policy["serial_degraded_to_park"], bool)
-        assert policy["effective_spin"] >= 0
+    def test_host_metadata_carries_the_host(self, doc):
+        assert doc["python"] and doc["implementation"] and doc["platform"]
         assert doc["cpu_count"] >= 1
-        assert isinstance(doc["serial_host"], bool)
+        assert isinstance(doc["gil_enabled"], bool)
 
     def test_derived_ratios_present(self, doc):
         derived = doc["derived"]
@@ -76,6 +77,41 @@ class TestRunDistOps:
 
     def test_document_is_json_serializable(self, doc):
         json.dumps(doc)
+
+
+class TestShmScalingClock:
+    def test_samples_time_the_increments_not_the_last_scan(self, monkeypatch):
+        """Each worker sleeps 0.1 s before its first increment, and the
+        parent's start-of-sample clock read is delayed 0.2 s.  A clock
+        that started after the workers were released would miss the
+        work and time only the final satisfied scan."""
+        real_increment = ShmCounter.increment
+        first = [True]  # copied into each forked worker
+
+        def slow_first_increment(self, amount=1):
+            if first:
+                first.clear()
+                time.sleep(0.1)
+            return real_increment(self, amount)
+
+        reads = []
+
+        def delayed_start_read():
+            reads.append(None)
+            if len(reads) % 2:  # every sample's first read is its start
+                time.sleep(0.2)
+            return time.perf_counter()
+
+        monkeypatch.setattr(ShmCounter, "increment", slow_first_increment)
+        monkeypatch.setattr(
+            dist_ops, "time", types.SimpleNamespace(perf_counter=delayed_start_read)
+        )
+        series = dist_ops._bench_shm_scaling(
+            {"increments_per_proc": 1_000, "process_counts": (1,), "repeats": 2}
+        )
+        samples = series["1proc"]["samples"]
+        assert len(samples) == 2
+        assert all(sample >= 0.1 for sample in samples), samples
 
 
 class TestCompare:

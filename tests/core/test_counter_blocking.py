@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core import CheckTimeout, ResetConcurrencyError
+from repro.core import CheckTimeout, MonotonicCounter, ResetConcurrencyError
 from tests.helpers import join_all, spawn, wait_until
 
 
@@ -194,6 +194,62 @@ class TestConcurrentIncrements:
             assert done.acquire(timeout=20)
         join_all(checkers)
         assert counter.value == total
+
+
+class TestMissedCheckParks:
+    """The counter's one wait path (§7): a check the lock-free fast path
+    cannot satisfy registers on its level's node and parks."""
+
+    def test_missed_check_suspends_exactly_once(self):
+        counter = MonotonicCounter(stats=True)
+        waiter = spawn(counter.check, 1)
+        wait_until(lambda: counter.snapshot().total_waiters == 1)
+        counter.increment(1)
+        join_all([waiter])
+        assert counter.stats.suspended_checks == 1
+        assert counter.stats.immediate_checks == 0
+        assert counter.stats.threads_woken == 1
+
+    def test_timeout_zero_raises_and_leaves_no_waiter(self):
+        """``check(level, timeout=0)`` on a short value is an instant
+        probe: it raises and deregisters before returning."""
+        counter = MonotonicCounter(stats=True)
+        with pytest.raises(CheckTimeout):
+            counter.check(1, timeout=0)
+        assert counter.stats.timeouts == 1
+        assert counter.snapshot().waiting_levels == ()
+        assert (counter._live_levels, counter._live_waiters) == (0, 0)
+        counter.increment(1)
+        counter.check(1, timeout=0)
+
+    def test_no_fast_path_still_parks_and_wakes(self):
+        counter = MonotonicCounter(fast_path=False, stats=True)
+        waiter = spawn(counter.check, 1)
+        wait_until(lambda: counter.snapshot().total_waiters == 1)
+        counter.increment(1)
+        join_all([waiter])
+        assert counter.stats.suspended_checks == 1
+        assert counter.snapshot().waiting_levels == ()
+
+    def test_chase_completes_and_tallies_consistently(self):
+        """A consumer chasing a producer level by level: every check is
+        satisfied on the fast path or by a park, and the stats account
+        for all of them."""
+        counter = MonotonicCounter(stats=True)
+        levels = 400
+
+        def producer():
+            for _ in range(levels):
+                counter.increment(1)
+
+        def consumer():
+            for level in range(1, levels + 1):
+                counter.check(level, timeout=30)
+
+        join_all([spawn(consumer), spawn(producer)])
+        stats = counter.stats
+        assert stats.checks >= levels  # racy immediate tallies may undercount
+        assert stats.checks == stats.immediate_checks + stats.suspended_checks
 
 
 def _waiting(counter) -> int:

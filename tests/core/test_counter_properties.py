@@ -115,8 +115,8 @@ def test_snapshot_levels_sorted_and_above_value(levels):
     c = MonotonicCounter()
     threads = [spawn(lambda lv=level: c.check(lv, timeout=30)) for level in levels]
     expected_distinct = len(set(levels))
-    # Time-based, not iteration-based: spin-then-park means a waiter may
-    # take a few scheduler quanta to appear in the wait list.
+    # Time-based, not iteration-based: a freshly spawned waiter may take
+    # a few scheduler quanta to appear in the wait list.
     wait_until(lambda: c.snapshot().total_waiters == len(levels))
     snapshot = c.snapshot()
     assert snapshot.total_waiters == len(levels)

@@ -40,7 +40,7 @@ import time
 
 import pytest
 
-from repro.core import CheckTimeout, MonotonicCounter, PARK_ONLY, WaitPolicy
+from repro.core import CheckTimeout, MonotonicCounter
 from repro.core import counter as counter_mod
 from repro.core.engine import WheelEntry
 from repro.simthread import SimCounter
@@ -57,19 +57,18 @@ class ScriptedParkCounter(MonotonicCounter):
     consume rather than lose.  ``on_verdict(level)`` runs after the
     timer wheel has claimed the entry (the provisional timeout verdict)
     but *before* the counter-lock adjudication — the no-lost-wakeup
-    window.  ``PARK_ONLY`` keeps the spin phase out of the way so the
-    park is reached directly.
+    window.
     """
 
     def __init__(self, on_park=None, on_verdict=None, **kwargs):
-        super().__init__(policy=PARK_ONLY, stats=True, **kwargs)
+        super().__init__(stats=True, **kwargs)
         self._on_park = on_park
         self._on_verdict = on_verdict
 
-    def _park(self, node, waiter, level, timeout, deadline, t_parked=None):
+    def _park(self, node, waiter, level, timeout, t_parked=None):
         if self._on_park is not None:
             self._on_park(level)
-        return super()._park(node, waiter, level, timeout, deadline, t_parked)
+        return super()._park(node, waiter, level, timeout, t_parked)
 
     def _adjudicate_timeout(self, node, entry, level, timeout, t_parked=None):
         if self._on_verdict is not None:
@@ -176,7 +175,7 @@ class TestWheelEscalation:
         self, monkeypatch
     ):
         monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
-        counter = MonotonicCounter(policy=PARK_ONLY, stats=True)
+        counter = MonotonicCounter(stats=True)
         done = []
         worker = spawn(lambda: (counter.check(1, timeout=30.0), done.append(True)))
         # The handle swap under the counter lock is the observable
@@ -195,7 +194,7 @@ class TestWheelEscalation:
 
     def test_lingering_wait_escalates_then_times_out(self, monkeypatch):
         monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
-        counter = MonotonicCounter(policy=PARK_ONLY, stats=True)
+        counter = MonotonicCounter(stats=True)
         start = time.monotonic()
         with pytest.raises(CheckTimeout):
             counter.check(1, timeout=0.01)
@@ -252,7 +251,7 @@ class TestIncrementPreemptedMidCriticalSection:
     """
 
     def test_release_is_unobservable_until_the_critical_section_ends(self):
-        counter = MonotonicCounter(policy=PARK_ONLY, stats=True)
+        counter = MonotonicCounter(stats=True)
         outcomes = []
         waiter = spawn(lambda: (counter.check(1, timeout=30), outcomes.append("ok")))
         wait_until(lambda: counter.snapshot().waiting_levels == (1,))
@@ -280,20 +279,12 @@ class TestIncrementPreemptedMidCriticalSection:
 class TestTimeoutHammer:
     """Real threads, real (tiny) timeouts, real increments, many rounds."""
 
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            pytest.param(None, id="default-spin"),
-            pytest.param(PARK_ONLY, id="park-only"),
-            pytest.param(WaitPolicy(spin=8, spin_min=1, spin_max=8), id="tiny-spin"),
-        ],
-    )
     @pytest.mark.parametrize("strategy", ["linked", "heap"])
-    def test_no_lost_wakeups_and_no_leaks(self, strategy, policy):
+    def test_no_lost_wakeups_and_no_leaks(self, strategy):
         rng = random.Random(0xC0FFEE)
         rounds, waiters = 25, 8
         for _ in range(rounds):
-            counter = MonotonicCounter(strategy=strategy, policy=policy, stats=True)
+            counter = MonotonicCounter(strategy=strategy, stats=True)
             outcomes = [None] * waiters
 
             def wait(w):

@@ -22,9 +22,7 @@ from repro.core import (
     CheckTimeout,
     MonotonicCounter,
     MultiWait,
-    PARK_ONLY,
     ShardedCounter,
-    WaitPolicy,
 )
 from repro.core import counter as counter_mod
 from repro.core.engine import ParkingSlot, WheelEntry
@@ -65,9 +63,9 @@ class TestEvent:
             event.kind = "unpark"
 
     def test_kind_registry_is_complete(self):
-        assert len(KINDS) == 25
+        assert len(KINDS) == 24
         for kind in ("increment", "release", "park", "unpark", "timeout",
-                     "spin_exhausted", "sub_fire", "flush", "drain",
+                     "sub_fire", "flush", "drain",
                      "mw_park", "mw_wake", "mw_timeout", "stall",
                      # schema v3: the cross-process fabric
                      "frame_send", "frame_recv", "batch_flush",
@@ -237,16 +235,12 @@ class TestCounterEmitsTheAdvertisedKinds:
         assert tallies["wait_latency"]["count"] == 1
         assert tallies["wakeup_latency"]["count"] == int(has_node)
 
-    def test_timeout_and_spin_exhaustion(self):
+    def test_genuine_timeout(self):
         handle = obs.enable()
-        counter = MonotonicCounter(
-            name="to-counter",
-            policy=WaitPolicy(spin=4, spin_min=1, spin_max=8),
-        )
+        counter = MonotonicCounter(name="to-counter")
         with pytest.raises(CheckTimeout):
             counter.check(5, timeout=0.01)
         kinds = _kinds(handle, "to-counter")
-        assert "spin_exhausted" in kinds
         assert "timeout" in kinds
         assert "unpark" not in kinds  # the wait genuinely expired
         [timeout] = [e for e in handle.trace if e.kind == "timeout"]
@@ -304,7 +298,7 @@ class TestEveryResumeBranchEmitsOneUnpark:
             monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
         timeout = None if branch == "untimed" else 60.0
         handle = obs.enable()
-        counter = MonotonicCounter(name="branch-counter", policy=PARK_ONLY)
+        counter = MonotonicCounter(name="branch-counter")
         waiter = spawn(counter.check, 1, timeout)
         if branch == "wheel":
             # The escalation swaps the registered slot for a WheelEntry.

@@ -18,7 +18,7 @@ import pytest
 import repro.obs as obs
 from repro.core import NOOP_STATS, CheckTimeout, MonotonicCounter
 from repro.obs import CounterMetrics, Histogram, MetricsRegistry
-from repro.obs.metrics import LATENCY_BOUNDS, SPIN_BOUNDS
+from repro.obs.metrics import LATENCY_BOUNDS
 from tests.helpers import join_all, spawn, wait_until
 
 
@@ -53,10 +53,8 @@ class TestHistogram:
 
     def test_default_bounds_are_exponential(self):
         assert LATENCY_BOUNDS[0] == pytest.approx(1e-6)
-        assert SPIN_BOUNDS[0] == 1.0
-        for bounds in (LATENCY_BOUNDS, SPIN_BOUNDS):
-            for lo, hi in zip(bounds, bounds[1:]):
-                assert hi == pytest.approx(2 * lo)
+        for lo, hi in zip(LATENCY_BOUNDS, LATENCY_BOUNDS[1:]):
+            assert hi == pytest.approx(2 * lo)
 
 
 class TestMetricsRegistry:
