@@ -33,15 +33,18 @@ Two backends:
   guarantee, exercised schedule-exhaustively by
   ``tests/testkit/test_ratelimit_interleave.py``.
 * **service** (:class:`ServiceBackend`) — counters live in a PR-7
-  :class:`~repro.dist.service.CounterService`; admits ride the client's
-  batched ``inc`` frames (tagged per-request via ``corr`` riders) and
-  *only the service host rolls* (:func:`serve_rolls` —
-  ``raise_source`` is max-merge per source, so two rollers racing would
-  retire the same admissions twice and over-admit).  Client decisions
-  then use acknowledged lower bounds floored at the client's own admits
-  (counted before the hop onto its loop), giving a documented bounded
-  overshoot of at most the *other* clients' unacknowledged in-flight
-  admissions; the strict guarantee is the in-process one.
+  :class:`~repro.dist.service.CounterService`; an admit is a dict write
+  into the thread-side endpoint's pool, which ships batched ``inc``
+  frames once per flush window (10ms by default; tagged per-request
+  via ``corr`` riders), and *only the service host rolls*
+  (:func:`serve_rolls` — ``raise_source`` is max-merge per source, so
+  two rollers racing would retire the same admissions twice and
+  over-admit).  Client decisions then use acknowledged lower bounds
+  floored at the client's own admits (counted before they pool),
+  giving a documented bounded overshoot of at most the *other*
+  clients' admits this client has not yet seen acknowledged — each
+  can stay unseen for up to one flush window plus a round trip; the
+  strict guarantee is the in-process one.
 
 Keys are LRU-bounded (``max_keys``): the least-recently-touched entry is
 evicted first, but never while it is pinned — an acquirer holds its pin
@@ -132,7 +135,9 @@ class ServiceBackend:
     (:func:`repro.dist.client.open_threadside`).  Admission reads are
     acknowledged lower bounds — ``admitted`` additionally floors at our
     own admits, counted on the deciding thread before the increment
-    hops onto the loop, so a client never races its own admits; the
+    pools for the loop, so a client never races its own admits.  An
+    evicted key's handles are closed, and a closed handle raises on
+    ``increment``; the entry pins keep every ``bump`` on an open one.  The
     service host must run :func:`serve_rolls` for this limiter's keys or
     blocking acquires will only ever time out.
     """

@@ -67,26 +67,26 @@ __all__ = ["run_dist_ops", "render", "main"]
 GATED_SERIES = ("shm_readonly_check", "service_pipeline", "dist_obs_disabled")
 
 _SIZES = {
-    "check_ops": 20_000,       # shm scans per sample
+    "check_ops": 100_000,      # shm scans per sample
     "manager_ops": 1_000,      # proxy reads per sample (each is an RPC)
     "increments_per_proc": 10_000,
     "process_counts": (1, 2, 4),
-    "pipelined_ops": 20_000,   # client increments per sample
+    "pipelined_ops": 100_000,  # client increments per sample
     "rpc_ops": 500,            # awaited acks per sample
     "repeats": 5,
     "flush_interval": 0.001,   # the >=1ms window of the acceptance bar
 }
 
 _QUICK_SIZES = {
-    "check_ops": 2_000,
+    # The 2%-gated series are min-based (see runner.entry): at 3-4 M
+    # ops/s, 80k ops take ~25 ms, so a sample spans many scheduler ticks
+    # instead of being one sub-millisecond draw.
+    "check_ops": 80_000,
     "manager_ops": 100,
     "increments_per_proc": 1_000,
     "process_counts": (1, 2),
-    "pipelined_ops": 2_000,
+    "pipelined_ops": 80_000,
     "rpc_ops": 50,
-    # Samples at quick sizes are sub-millisecond, so the gated series
-    # (min-based, see runner.entry) need enough repeats that at least one
-    # sample dodges shared-runner interference.
     "repeats": 5,
     "flush_interval": 0.001,
 }

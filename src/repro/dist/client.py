@@ -19,11 +19,16 @@ timeout is adjudicated against an authoritative ``get`` before raising
 counter's adjudication discipline — a waiter that raced the push still
 returns satisfied.
 
-:class:`ServiceCounter` wraps one named counter for *threads*: it owns a
-background event loop (via :func:`open_threadside`), forwards increments
-with ``call_soon_threadsafe``, and parks the calling thread through
-:func:`repro.aio.bridge.wait_threadside` — the PR-6 engine slot is the
-only thread-blocking primitive in the stack.  It registers with the
+:class:`ServiceCounter` wraps one named counter for *threads*: it shares
+a background event loop (via :func:`open_threadside`) and parks the
+calling thread through :func:`repro.aio.bridge.wait_threadside` — the
+engine's parking slot is the only thread-blocking primitive in the stack.
+Its increments pool in the endpoint: only the first one of a window
+wakes the loop (one ``call_soon_threadsafe``), and the loop ships the
+whole pool in one socket write when the window ends.  The thread-side
+window defaults to 10ms, not 1ms, because each window costs the loop
+thread a wake as well as a timer; a floor that ships later keeps its
+value, since the server max-merges per source.  It registers with the
 observability registry, so ``python -m repro.obs dump`` shows
 service-backed waiters alongside in-process ones; its reported value is
 the last server-acknowledged total, a guaranteed lower bound (stability:
@@ -50,6 +55,11 @@ __all__ = ["AsyncCounterClient", "ServiceCounter", "open_threadside"]
 
 #: Default flush window: how long increments pool before one frame ships.
 FLUSH_INTERVAL = 0.001
+
+#: Default window of :func:`open_threadside`.  Longer than the loop-side
+#: one: every thread-side window costs the loop thread a wake and a timer,
+#: and a floor that ships later keeps its value (max-merge per source).
+THREADSIDE_FLUSH_INTERVAL = 0.010
 
 #: Grace added to a thread-side wait deadline so the server-side timeout
 #: adjudication (a ``get`` round-trip) can finish before the thread gives
@@ -164,7 +174,32 @@ class AsyncCounterClient:
             await self._flush_now(acked=False)
 
     async def _flush_now(self, *, acked: bool) -> None:
+        pending = self._write_dirty(acked=acked)
+        if acked and pending is None:
+            # Nothing pooled, but earlier unacked frames may be in flight:
+            # TCP ordering + sequential dispatch make any round trip a
+            # barrier, and a `get` creates nothing server-side.
+            await self._request({"op": "get", "c": ""})
+            return
+        if pending is None:
+            return
+        await self._writer.drain()
+        if acked:
+            counter, future = pending
+            reply = await future
+            self._note_value(counter, reply["v"])
+
+    def _write_dirty(self, *, acked: bool = False):
+        """Write one ``inc`` frame per dirty counter, all in one write.
+
+        Returns ``None`` when nothing was dirty, else ``(counter,
+        future)`` for the last frame; the future is the ack's when
+        ``acked`` and ``None`` otherwise.  Never blocks, so loop
+        callbacks can call it; the caller drains the writer if it can.
+        """
         self._dirty_event.clear()
+        if not self._dirty:
+            return None
         dirty, self._dirty = self._dirty, set()
         obs_on = _obs.enabled
         frames = []
@@ -185,27 +220,27 @@ class AsyncCounterClient:
                                      corr=rider, op=frame["t"])
             frames.append(frame)
             last = frame
-        if obs_on and frames:
+        if obs_on:
             _obs.on_dist(self._obs_label, "batch_flush", count=len(frames),
                          corr=last["t"])
-        if acked and last is None:
-            # Nothing pooled, but earlier unacked frames may be in flight:
-            # TCP ordering + sequential dispatch make any round trip a
-            # barrier, and a `get` creates nothing server-side.
-            await self._request({"op": "get", "c": ""})
-            return
+        future = None
         if acked:
             last["id"] = next(self._ids)
             future = asyncio.get_running_loop().create_future()
             self._replies[last["id"]] = future
-        if not frames:
-            return
         self._writer.write(b"".join(wire.encode(f) for f in frames))
         self.frames_out += len(frames)
-        await self._writer.drain()
-        if acked:
-            reply = await future
-            self._note_value(last["c"], reply["v"])
+        return last["c"], future
+
+    def _absorb(self, pool: dict[str, int],
+                riders: dict[str, list[str]]) -> None:
+        """Add a thread-side pool to our contributions and riders."""
+        contrib = self._contrib
+        for counter, amount in pool.items():
+            contrib[counter] = contrib.get(counter, 0) + amount
+        self._dirty.update(pool)
+        for counter, corrs in riders.items():
+            self._riders.setdefault(counter, []).extend(corrs)
 
     # -------------------------------------------------------------- waiting
 
@@ -405,8 +440,10 @@ class ServiceCounter:
     Obtained from :meth:`open_threadside`'s endpoint; every method is
     safe to call from any thread.  Waiting parks the calling thread on
     its PR-6 engine slot via :func:`wait_threadside`; increments are
-    fire-and-forget hops onto the connection's loop (pooled into the
-    client's flush window like any loop-side increment).
+    fire-and-forget: they pool in the endpoint, and the connection's
+    loop ships the pool once per flush window.  A closed handle (or a
+    handle of a closed endpoint) raises ``ValueError`` on
+    :meth:`increment`, :meth:`check` and :meth:`flush`.
 
     The handle registers in the observability registry: ``snapshot()``
     reports the last server-acknowledged total (a stable lower bound on
@@ -415,10 +452,10 @@ class ServiceCounter:
     waiters exactly like local ones.
     """
 
-    def __init__(self, client: AsyncCounterClient,
-                 loop: asyncio.AbstractEventLoop, counter: str) -> None:
-        self._client = client
-        self._loop = loop
+    def __init__(self, endpoint: "_ThreadsideEndpoint", counter: str) -> None:
+        self._endpoint = endpoint
+        self._client = endpoint.client
+        self._loop = endpoint._loop
         self._counter = counter
         self._name = f"service:{counter}"
         self._waiting: dict[int, int] = {}   # level -> parked thread count
@@ -435,13 +472,17 @@ class ServiceCounter:
 
     def increment(self, amount: int = 1, *, corr: str | None = None) -> None:
         amount = validate_amount(amount)
-        self._loop.call_soon_threadsafe(
-            self._client.increment, self._counter, amount, corr
-        )
+        self._check_open("increment")
+        self._endpoint._pool_increment(self._counter, amount, corr)
+
+    def _check_open(self, op: str) -> None:
+        if self._closed or self._endpoint.closed:
+            raise ValueError(f"{self!r}: {op} on a closed handle")
 
     def check(self, level: int, timeout: float | None = None, *,
               corr: str | None = None) -> None:
         level = validate_level(level)
+        self._check_open("check")
         # Thread-side wait interval (schema v3.1): the *calling thread*
         # owns a park/unpark pair carrying the request corr, while the
         # inner client park runs on the connection's loop thread.  A
@@ -460,7 +501,9 @@ class ServiceCounter:
         try:
             wait_threadside(
                 self._loop,
-                self._client.check(self._counter, level, timeout, corr=corr),
+                self._endpoint._drained(
+                    self._client.check(self._counter, level, timeout, corr=corr)
+                ),
                 None if timeout is None else timeout + _THREADSIDE_GRACE,
             )
         except Exception:
@@ -482,7 +525,9 @@ class ServiceCounter:
 
     def flush(self) -> None:
         """Block until the server has acked every pooled increment."""
-        wait_threadside(self._loop, self._client.flush(), _THREADSIDE_GRACE)
+        self._check_open("flush")
+        wait_threadside(self._loop, self._endpoint._drained(self._client.flush()),
+                        _THREADSIDE_GRACE)
 
     def value_rpc(self) -> int:
         """Authoritative server total (one round trip)."""
@@ -513,12 +558,13 @@ class ServiceCounter:
             "counter": self._counter,
             "source": self._client.source,
             "published": self.value,
-            "contribution": self._client.contribution(self._counter),
+            "contribution": self._endpoint._contribution(self._counter),
         }
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            self._endpoint._handles.pop(self, None)
             _obs_registry.deregister(self)
 
     def __repr__(self) -> str:
@@ -526,7 +572,17 @@ class ServiceCounter:
 
 
 class _ThreadsideEndpoint:
-    """A connection plus the daemon loop thread that drives it."""
+    """A connection plus the daemon loop thread that drives it.
+
+    Thread-side increments pool here, one amount (and rider list) per
+    counter name under one lock.  The increment that finds the pool
+    unarmed wakes the loop once, to start a flush-window timer; every
+    other increment in that window is a dict write.  When the timer
+    fires, the loop moves the pool into the client and writes every
+    dirty counter's ``inc`` frame in one socket write.  ``flush``,
+    ``check`` and :meth:`close` drain the pool first, so nobody waits
+    out a window for their own increments and close loses none.
+    """
 
     def __init__(self, client: AsyncCounterClient,
                  loop: asyncio.AbstractEventLoop,
@@ -534,16 +590,74 @@ class _ThreadsideEndpoint:
         self._client = client
         self._loop = loop
         self._thread = thread
-        self._handles: list[ServiceCounter] = []
+        self._handles: dict[ServiceCounter, None] = {}   # open handles
+        self._pool_lock = threading.Lock()
+        self._pool: dict[str, int] = {}              # counter -> amount
+        self._pool_riders: dict[str, list[str]] = {}  # counter -> corrs
+        self._armed = False   # a window timer is scheduled or queued
+        self.closed = False
 
     @property
     def client(self) -> AsyncCounterClient:
         return self._client
 
     def counter(self, name: str) -> ServiceCounter:
-        handle = ServiceCounter(self._client, self._loop, name)
-        self._handles.append(handle)
+        if self.closed:
+            raise ValueError(f"counter({name!r}) on a closed endpoint")
+        handle = ServiceCounter(self, name)
+        self._handles[handle] = None
         return handle
+
+    # ------------------------------------------------------------- the pool
+
+    def _pool_increment(self, counter: str, amount: int,
+                        corr: str | None) -> None:
+        with self._pool_lock:
+            if self.closed:
+                raise ValueError(f"increment of {counter!r} on a closed endpoint")
+            pool = self._pool
+            pool[counter] = pool.get(counter, 0) + amount
+            if corr is not None:
+                self._pool_riders.setdefault(counter, []).append(corr)
+            if self._armed:
+                return
+            self._armed = True
+            # Inside the lock: close() cannot stop the loop in between.
+            self._loop.call_soon_threadsafe(self._arm)
+
+    def _arm(self) -> None:
+        self._loop.call_later(self._client.flush_interval, self._ship)
+
+    def _ship(self) -> None:
+        """The window's end (loop thread): drain, then one write."""
+        self._drain(disarm=True)
+        self._client._write_dirty()
+
+    def _drain(self, *, disarm: bool = False) -> None:
+        """Move the pool into the client (loop thread).
+
+        Under the pool lock, so a reader of :meth:`_contribution` never
+        sees an amount in both places or in neither.
+        """
+        with self._pool_lock:
+            if disarm:
+                self._armed = False
+            if self._pool:
+                self._client._absorb(self._pool, self._pool_riders)
+                self._pool = {}
+                self._pool_riders = {}
+
+    async def _drained(self, coro):
+        self._drain()
+        return await coro
+
+    def _contribution(self, counter: str) -> int:
+        """Our absolute contribution, pooled increments included."""
+        with self._pool_lock:
+            return (self._client.contribution(counter)
+                    + self._pool.get(counter, 0))
+
+    # ---------------------------------------------------------------- calls
 
     def fetch_trace(self) -> dict:
         """Thread-side ``fetch_trace``: the server's pid-stamped ring."""
@@ -558,10 +672,16 @@ class _ThreadsideEndpoint:
         )
 
     def close(self) -> None:
-        for handle in self._handles:
+        """Ship what is still pooled, then stop the connection and loop."""
+        with self._pool_lock:
+            if self.closed:
+                return
+            self.closed = True
+        for handle in list(self._handles):
             handle.close()
         try:
-            wait_threadside(self._loop, self._client.close(), _THREADSIDE_GRACE)
+            wait_threadside(self._loop, self._drained(self._client.close()),
+                            _THREADSIDE_GRACE)
         except (ConnectionError, TimeoutError):
             pass
         self._loop.call_soon_threadsafe(self._loop.stop)
@@ -575,7 +695,7 @@ class _ThreadsideEndpoint:
 
 
 def open_threadside(host: str, port: int, *, source: str | None = None,
-                    flush_interval: float = FLUSH_INTERVAL,
+                    flush_interval: float = THREADSIDE_FLUSH_INTERVAL,
                     ) -> _ThreadsideEndpoint:
     """Connect a background event loop to a counter service.
 

@@ -13,6 +13,7 @@ import threading
 
 from repro.apps.ratelimit import RateLimiter, ServiceBackend, serve_rolls
 from repro.dist import CounterService, GCounter, open_threadside
+from repro.testkit import run_script, run_thread, until
 
 
 def _start_service():
@@ -71,6 +72,38 @@ class TestServiceBackend:
                 finally:
                     gate.set()
                 assert grants == [True, True, True, False, False]
+                limiter.close()
+        finally:
+            stop()
+
+    def test_pin_keeps_the_admit_off_a_closed_handle(self):
+        """Eviction closes a key's handles, and a closed handle raises on
+        ``increment``.  A thread paused at the decision gate (touched,
+        not yet decided) while another key floods the LRU holds its pin,
+        so its admit lands on the open handle and reaches the service."""
+        address, stop = _start_service()
+        try:
+            with open_threadside(*address, source="t") as endpoint:
+                limiter = RateLimiter(3, 60.0, name="rl", max_keys=1,
+                                      backend=ServiceBackend(endpoint))
+                results = {}
+
+                def acquire(label, key):
+                    results[label] = limiter.try_acquire(key)
+
+                run_script(
+                    [
+                        until("t1", "ratelimit.lock"),       # "a" touched, pinned
+                        run_thread("flood", expect="done"),  # "b" sweeps the LRU
+                        run_thread("t1", expect="done"),     # decides on "a"
+                    ],
+                    {"t1": (acquire, "t1", "a"), "flood": (acquire, "flood", "b")},
+                )
+                assert results == {"t1": True, "flood": True}
+                assert limiter.evictions == 0  # the sweep skipped "a"
+                admitted = endpoint.counter("rl:a:admitted")
+                admitted.flush()
+                assert admitted.value_rpc() == 1
                 limiter.close()
         finally:
             stop()
