@@ -49,7 +49,6 @@ from repro.core import (
     CounterSnapshot,
     MonotonicCounter,
     MultiWait,
-    ShardedCounter,
 )
 from repro.structured import (
     ThreadScope,
@@ -64,7 +63,6 @@ __version__ = "1.0.0"
 __all__ = [
     "MonotonicCounter",
     "BroadcastCounter",
-    "ShardedCounter",
     "Counter",
     "CounterProtocol",
     "CounterSnapshot",

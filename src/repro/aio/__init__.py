@@ -1,21 +1,18 @@
 """Monotonic counters for asyncio — the mechanism is runtime-agnostic.
 
 :class:`AsyncCounter` gives coroutines the §2 interface
-(``increment`` / ``await check``); :class:`AsyncShardedCounter` is the
-batched twin of :class:`repro.core.sharded.ShardedCounter`;
-:class:`CounterBridge` mirrors a thread-side counter into an event loop
-so hybrid programs share one monotone value.
+(``increment`` / ``await check``); :class:`CounterBridge` mirrors a
+thread-side counter into an event loop so hybrid programs share one
+monotone value.
 """
 
 from repro.aio.bridge import CounterBridge
 from repro.aio.counter import AsyncCounter, AsyncCounterSubscription
 from repro.aio.multiwait import AsyncMultiWait
-from repro.aio.sharded import AsyncShardedCounter
 
 __all__ = [
     "AsyncCounter",
     "AsyncCounterSubscription",
     "AsyncMultiWait",
-    "AsyncShardedCounter",
     "CounterBridge",
 ]

@@ -6,7 +6,8 @@ owns two monotone quantities:
 
 * ``admitted`` — every request ever admitted for the key (a plain
   :class:`~repro.core.MonotonicCounter` locally: every bump and read
-  already happens under the entry lock, so shards would buy nothing);
+  already happens under the entry lock, so the counter's own lock is
+  never contended);
 * ``retired`` — admissions that have *left* the sliding window (a plain
   :class:`~repro.core.MonotonicCounter` locally; the wait surface).
 

@@ -11,8 +11,7 @@ repo root in CI) so successive PRs accumulate a recorded perf trajectory:
 * ``uncontended_increment`` — single-thread ``increment(1)`` throughput
   (no waiters: the release-scan-skipping fast path).
 * ``contended_increment`` — T producer threads hammering one counter:
-  where :class:`~repro.core.sharded.ShardedCounter`'s striped batching
-  pays off.
+  the cost of lock contention on the increment path.
 * ``fan_in_wakeup`` — park W threads over L levels, release with a stepped
   sweep, re-park and release again for E episodes over one persistent
   thread pool (the E8b shape with the thread-spawn cost amortized away,
@@ -51,7 +50,7 @@ from repro.bench import runner
 from repro.bench.runner import entry, ratio
 from repro.bench.timing import Timing, measure
 from repro.bench.workloads import spread_waiters
-from repro.core import BroadcastCounter, MonotonicCounter, MultiWait, ShardedCounter
+from repro.core import BroadcastCounter, MonotonicCounter, MultiWait
 
 __all__ = ["run_counter_ops", "render", "main"]
 
@@ -64,11 +63,10 @@ FACTORIES: dict[str, Callable[[], object]] = {
     "linked_locked": lambda: MonotonicCounter(strategy="linked", fast_path=False, stats=True),
     "heap": lambda: MonotonicCounter(strategy="heap"),
     "broadcast": lambda: BroadcastCounter(),
-    "sharded": lambda: ShardedCounter(),
 }
 
 #: Implementations that make sense for the blocking fan-in series.
-FAN_IN = ("linked", "heap", "broadcast", "sharded")
+FAN_IN = ("linked", "heap", "broadcast")
 
 #: Implementations raced in the ping-pong handoff series.
 HANDOFF = ("linked", "broadcast")
@@ -116,8 +114,6 @@ def _sizes(quick: bool) -> dict[str, int]:
 def _bench_immediate_check(factory: Callable[[], object], ops: int, repeats: int) -> Timing:
     counter = factory()
     counter.increment(1)
-    if hasattr(counter, "flush"):
-        counter.flush()  # publish the batched increment so every check is immediate
     check = counter.check
     r = range(ops)
 
@@ -287,7 +283,7 @@ def run_counter_ops(*, quick: bool = False) -> dict:
                 repeats,
             ),
         )
-        for name in ("linked", "heap", "broadcast", "sharded")
+        for name in ("linked", "heap", "broadcast")
     }
     fan_in_ops = sizes["fan_in_waiters"] * sizes["fan_in_episodes"]
     series["fan_in_wakeup"] = {

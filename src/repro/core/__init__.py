@@ -7,8 +7,6 @@ Public surface:
   variables).
 * :class:`~repro.core.counter.BroadcastCounter` — naive single-queue
   baseline for ablation.
-* :class:`~repro.core.sharded.ShardedCounter` — striped-increment variant
-  for increment-heavy many-producer workloads.
 * :class:`~repro.core.api.CounterProtocol` / ``AbstractCounter`` — the
   structural contract shared with the simulator and instrumented variants.
 * Snapshots (:class:`~repro.core.snapshot.CounterSnapshot`) and stats
@@ -31,7 +29,6 @@ from repro.core.errors import (
     ResetConcurrencyError,
 )
 from repro.core.multiwait import MultiWait, barrier_levels, check_all, checkpoint
-from repro.core.sharded import ShardedCounter, ShardSnapshot
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.stats import NOOP_STATS, CounterStats, NoopStats
 
@@ -40,8 +37,6 @@ __all__ = [
     "CounterProtocol",
     "MonotonicCounter",
     "BroadcastCounter",
-    "ShardedCounter",
-    "ShardSnapshot",
     "Counter",
     "CounterError",
     "CounterValueError",

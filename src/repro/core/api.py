@@ -15,17 +15,7 @@ from __future__ import annotations
 import abc
 from typing import Protocol, runtime_checkable
 
-__all__ = ["CounterProtocol", "AbstractCounter", "ShardedCounter"]
-
-
-def __getattr__(name: str):
-    # Re-exported lazily: sharded.py imports counter.py, which imports this
-    # module, so an eager import here would be circular.
-    if name == "ShardedCounter":
-        from repro.core.sharded import ShardedCounter
-
-        return ShardedCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["CounterProtocol", "AbstractCounter"]
 
 
 @runtime_checkable

@@ -2,7 +2,7 @@
 
 The production counter code is sprinkled with *sync points*: named
 positions in the synchronization protocol (immediately before a lock
-acquisition, a flag write, a drain-set mutation, a shard flush) where a
+acquisition, a flag write, a drain-set mutation) where a
 schedule-injection harness may interpose.  Each site compiles to
 
 .. code-block:: python
@@ -12,15 +12,15 @@ schedule-injection harness may interpose.  Each site compiles to
 
 so the disabled cost is one module-attribute read and a branch — and the
 sites are chosen so that **no sync point lies on the lock-free
-immediate-``check`` fast path** (or on the sharded counter's published
-fast path): an already-satisfied ``check`` never touches this module at
-all.  ``docs/testing.md`` lists every point and its position in the
-protocol; ``docs/api.md`` records the measured (non-)impact.
+immediate-``check`` fast path**: an already-satisfied ``check`` never
+touches this module at all.  ``docs/testing.md`` lists every point and
+its position in the protocol; ``docs/api.md`` records the measured
+(non-)impact.
 
 Only one hook can be installed at a time (the testkit serializes
 schedules through :func:`install`/:func:`uninstall`).  The hook receives
 ``(point, obj)`` where ``obj`` is the primitive firing the point — a
-counter for ``increment.*``/``check.*``/``park.*``/``shard*.*`` points, a
+counter for ``increment.*``/``check.*``/``park.*``/``subscribe.*`` points, a
 :class:`~repro.core.waitlist.WaitNode` for ``node.*`` points, a
 :class:`~repro.core.multiwait.MultiWait` for ``multiwait.*`` points, a
 :class:`~repro.core.engine.WheelEntry` for ``wheel.*`` points.  The
@@ -52,8 +52,8 @@ _install_lock = threading.Lock()
 
 #: Every compiled-in sync point, grouped by protocol position.  Kept as
 #: data so the testkit and the docs can enumerate them; the strings at
-#: the call sites are the source of truth and are asserted against this
-#: registry by the testkit's self-tests.
+#: the call sites are the source of truth, and the testkit's self-test
+#: (``TestPointRegistry``) asserts the two sets are equal.
 POINTS = frozenset(
     {
         # MonotonicCounter.increment
@@ -74,11 +74,6 @@ POINTS = frozenset(
         # WaitNode.signal (fired with the node, not the counter)
         "node.signal",         # before publishing signaled + the slot sets
         "node.subscribers",    # outside both locks, before firing callbacks
-        # ShardedCounter
-        "shard.lock",          # increment, before acquiring the shard lock
-        "shard.flush",         # increment, before publishing a full batch centrally
-        "sharded.register",    # check/subscribe, before taking a checker slot
-        "sharded.drain",       # before sweeping every shard into the central counter
         # MultiWait
         "multiwait.fire",      # subscription callback, before taking the MultiWait lock
         "multiwait.park",      # wait_all/wait_any, before taking the MultiWait lock

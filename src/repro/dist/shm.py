@@ -23,10 +23,10 @@ scanned sum is bracketed by the true totals at scan start and scan end.
 A ``check(level)`` that observes ``sum >= level`` is therefore sound by
 the paper's stability argument (§6) verbatim: the condition held at
 some real moment during the scan and can never be un-held.  The sum
-can lag the true total — it is a *guaranteed lower bound*, the same
-contract the sharded dumps carry — so the only possible error is a
-wait that parks a little longer, never a wakeup that fires early and
-never an observed decrease.
+can lag the true total — it is a *guaranteed lower bound*, since every
+term is a value its slot really held and no slot ever shrinks — so the
+only possible error is a wait that parks a little longer, never a
+wakeup that fires early and never an observed decrease.
 
 **Waiting.**  As the paper's ``Check`` suspends its caller, the first
 thread of a process to wait on a handle takes the handle's *seat* and
@@ -727,8 +727,8 @@ class ShmCounter:
     def snapshot(self) -> CounterSnapshot:
         """Counter-shaped view: one node per locally awaited level (the
         seat holder and its followers) plus one per *remote* process
-        doorbell (count 1 each — at least one waiter, the same
-        lower-bound contract as the sharded dumps)."""
+        doorbell (count 1 each: a published bell means at least one
+        waiter in that process, so the count never over-reports)."""
         with self._local_lock:
             local = tuple(WaitNodeSnapshot(level=level, count=count)
                           for level, count in sorted(self._waiting.items()))

@@ -33,8 +33,8 @@
         # pid-qualified releaser); --expect-wire fails unless at least
         # one exemplar's critical path crosses processes
 
-``--demo`` runs a short canned workload (a fan-in counter, a sharded
-counter, a timed-out check) with observability enabled so there is
+``--demo`` runs a short canned workload (a fan-in counter and a
+timed-out check) with observability enabled so there is
 something to show; without it the commands render whatever the current
 process has live — which, for a fresh CLI process, is nothing.  The
 causal subcommands accept ``--in`` (a ``trace.jsonl`` replay), ``--fw
@@ -55,13 +55,12 @@ import repro.obs as obs
 
 def _demo_workload() -> None:
     """A few milliseconds of representative traffic: parks, wakeups,
-    a genuine timeout, and shard flushes."""
+    and a genuine timeout."""
     import threading
 
-    from repro.core import CheckTimeout, MonotonicCounter, ShardedCounter
+    from repro.core import CheckTimeout, MonotonicCounter
 
     counter = MonotonicCounter(name="demo-fanin", stats=True)
-    sharded = ShardedCounter(shards=4, batch=8, name="demo-sharded")
 
     def checker(level: int) -> None:
         counter.check(level)
@@ -79,12 +78,8 @@ def _demo_workload() -> None:
     except CheckTimeout:
         pass
 
-    for _ in range(40):
-        sharded.increment()
-    sharded.check(32)
-
-    # Keep the demo counters alive for the dump that follows.
-    _demo_workload.keep = (counter, sharded)  # type: ignore[attr-defined]
+    # Keep the demo counter alive for the dump that follows.
+    _demo_workload.keep = counter  # type: ignore[attr-defined]
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:

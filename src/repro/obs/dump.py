@@ -2,19 +2,18 @@
 
 ``dump_state()`` walks the weakref registry of live counters and renders
 each one as a plain dict — current value, every waiting level with its
-waiter count and signaled flag, and (for sharded counters) the per-shard
-pending tallies next to the reconciled lower bound.  The result is
-JSON-ready, suitable for a debug endpoint, a crash handler, or the
-``python -m repro.obs dump`` CLI.
+waiter count and signaled flag, and (for fabric-backed counters) the
+published cross-process total.  The result is JSON-ready, suitable for
+a debug endpoint, a crash handler, or the ``python -m repro.obs dump``
+CLI.
 
 Consistency contract: every number is captured with the same discipline
-the primitives' own ``snapshot()`` methods use, and for sharded counters
-the published central value is read **before** the per-shard pendings
-(see :meth:`repro.core.sharded.ShardedCounter.shard_snapshot`), so the
-reported total is always a *lower bound* on the true total — a dump can
-under-report in-flight units, it can never invent them.  Monotonicity is
-what makes the stale read sound: the value only ever increases, so a
-lower bound stays a lower bound.
+the primitives' own ``snapshot()`` methods use, and a fabric total (an
+shm slot scan or a service's last-acknowledged total) only ever lags
+the true total, so the reported value is always a *lower bound* — a
+dump can under-report in-flight units, it can never invent them.
+Monotonicity is what makes the stale read sound: the value only ever
+increases, so a lower bound stays a lower bound.
 
 The dump never blocks on a wedged counter (snapshot reads take the
 counter lock only briefly) and never crashes on a racing asyncio
@@ -58,14 +57,6 @@ def _render(counter: object) -> dict[str, Any]:
         "name": registry.label(counter),
         "type": type(counter).__name__,
     }
-    shard_snapshot = getattr(counter, "shard_snapshot", None)
-    if shard_snapshot is not None:
-        shards = shard_snapshot()
-        # published was read before the pendings, so this total is a
-        # lower bound on the true count — never an over-report.
-        doc["published"] = shards.published
-        doc["pending"] = list(shards.pending)
-        doc["value"] = shards.total
     dist_snapshot = getattr(counter, "dist_snapshot", None)
     if dist_snapshot is not None:
         # Fabric-backed counters (repro.dist): the published sum is read
@@ -74,9 +65,9 @@ def _render(counter: object) -> dict[str, Any]:
         # handle reports the last server-acknowledged total.  Stale can
         # only under-report; monotonicity keeps the bound sound.
         doc["dist"] = dist_snapshot()
-        doc.setdefault("published", doc["dist"]["published"])
+        doc["published"] = doc["dist"]["published"]
     snap = counter.snapshot()
-    doc.setdefault("value", snap.value)
+    doc["value"] = snap.value
     doc["waiting"] = [
         {"level": node.level, "waiters": node.count, "signaled": bool(node.signaled)}
         for node in snap.nodes

@@ -2,7 +2,7 @@
 
 One :class:`Event` is recorded per observable protocol action — an
 increment, a release, a park/unpark pair, a timeout, a subscription
-fire, a shard flush, a stall report — when tracing is
+fire, a MultiWait park, a wire frame, a stall report — when tracing is
 enabled via :func:`repro.obs.enable`.  Events are immutable named
 tuples so they serialize trivially (``as_dict`` drops unused fields),
 a sink can pattern-match on ``kind`` without string parsing beyond the
@@ -84,8 +84,6 @@ KINDS = frozenset(
         "unpark",          # a suspended check resumed (wait + wakeup latency)
         "timeout",         # a check's wait expired (genuine timeout)
         "sub_fire",        # a level's subscription callbacks are about to run
-        "flush",           # a shard published its pending batch centrally
-        "drain",           # a reconciling sweep published pending tallies
         "mw_park",         # a MultiWait is about to suspend
         "mw_wake",         # a MultiWait wait completed
         "mw_timeout",      # a MultiWait wait expired

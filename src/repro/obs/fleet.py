@@ -41,8 +41,7 @@ def merge_histograms(into: dict, other: dict) -> dict:
     }
 
 
-_SERIES_TALLIES = ("increments", "releases", "parks", "unparks",
-                   "timeouts", "flushes")
+_SERIES_TALLIES = ("increments", "releases", "parks", "unparks", "timeouts")
 _SERIES_HIGH_WATERS = ("live_levels_hw", "live_waiters_hw")
 _SERIES_HISTOGRAMS = ("wait_latency", "wakeup_latency")
 
@@ -133,7 +132,6 @@ def render_fleet(nodes: list[dict]) -> str:
         ("parks", "repro_counter_parks_total", "Checks that suspended (fleet)"),
         ("unparks", "repro_counter_unparks_total", "Suspended checks that resumed (fleet)"),
         ("timeouts", "repro_counter_timeouts_total", "Checks whose wait expired (fleet)"),
-        ("flushes", "repro_counter_flushes_total", "Shard batch publications (fleet)"),
     )
     gauges = (
         ("live_levels_hw", "repro_counter_live_levels_high_water", "Max simultaneous distinct waiting levels (fleet max)"),

@@ -11,10 +11,9 @@ compiles to
 
 so the disabled cost is one module-attribute read and an untaken branch
 — and, exactly as with the sync points, **no site lies on the lock-free
-fast paths** (`MonotonicCounter.check`'s immediate return, the sharded
-counter's published-value return): an already-satisfied ``check`` never
-touches this module at all, so its cost is unchanged *by construction*,
-enabled or not.  The quick bench's
+fast path** (`MonotonicCounter.check`'s immediate return): an
+already-satisfied ``check`` never touches this module at all, so its
+cost is unchanged *by construction*, enabled or not.  The quick bench's
 ``obs_overhead`` series records the measurement.
 
 ``enabled`` is flipped only by :func:`repro.obs.enable` /
@@ -406,30 +405,6 @@ def on_timeout(
         emit((now, "timeout", src, _get_ident(),
               level, value, None, None,
               waited_s, None, next_seq(), token, None, None, None, None))
-
-
-# ------------------------------------------------------------------ sharded
-
-def on_flush(counter: object, amount: int) -> None:
-    """A shard published its pending batch into the central counter."""
-    src = label(counter)
-    metrics = _metrics
-    if metrics is not None:
-        metrics.series(src).flushes += 1
-    emit = _emit
-    if emit is not None:
-        emit((clock(), "flush", src, _get_ident(),
-              None, None, None, amount,
-              None, None, next_seq(), None, None, None, None, None))
-
-
-def on_drain(counter: object, amount: int) -> None:
-    """A reconciling sweep published ``amount`` of pending tallies."""
-    emit = _emit
-    if emit is not None:
-        emit((clock(), "drain", label(counter), _get_ident(),
-              None, None, None, amount,
-              None, None, next_seq(), None, None, None, None, None))
 
 
 # ---------------------------------------------------------------- multiwait

@@ -250,7 +250,6 @@ class CounterMetrics:
         "parks",
         "unparks",
         "timeouts",
-        "flushes",
     )
 
     def __init__(self) -> None:
@@ -263,7 +262,6 @@ class CounterMetrics:
         self.parks = 0
         self.unparks = 0
         self.timeouts = 0
-        self.flushes = 0
 
     def note_levels(self, live_levels: int, live_waiters: int) -> None:
         # High-water updates lose races harmlessly: a stale maximum is
@@ -280,7 +278,6 @@ class CounterMetrics:
             "parks": self.parks,
             "unparks": self.unparks,
             "timeouts": self.timeouts,
-            "flushes": self.flushes,
             "live_levels_hw": self.live_levels_hw,
             "live_waiters_hw": self.live_waiters_hw,
             "wait_latency": self.wait_latency.snapshot(),
@@ -334,8 +331,7 @@ class MetricsRegistry:
     # ------------------------------------------------- interval snapshots
 
     _HISTOGRAMS = ("wait_latency", "wakeup_latency")
-    _TALLIES = ("increments", "releases", "parks", "unparks",
-                "timeouts", "flushes")
+    _TALLIES = ("increments", "releases", "parks", "unparks", "timeouts")
 
     def mark(self) -> dict:
         """Freeze every series' cumulative state for :meth:`delta_since`.
@@ -452,7 +448,6 @@ class MetricsRegistry:
             ("parks", "repro_counter_parks_total", "Checks that suspended"),
             ("unparks", "repro_counter_unparks_total", "Suspended checks that resumed"),
             ("timeouts", "repro_counter_timeouts_total", "Checks whose wait expired"),
-            ("flushes", "repro_counter_flushes_total", "Shard batch publications"),
         )
         gauges = (
             ("live_levels_hw", "repro_counter_live_levels_high_water", "Max simultaneous distinct waiting levels (the paper's L)"),

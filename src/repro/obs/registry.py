@@ -8,9 +8,10 @@ registry with it — observation never extends a counter's lifetime.
 The registry is what makes ambient introspection possible at all: the
 stall watchdog scans it, ``repro.obs.dump_state()`` renders it, and the
 metrics registry folds the live counters' opt-in ``CounterStats`` into
-its export.  Wrapper counters (:class:`~repro.core.sharded.ShardedCounter`
-and its asyncio twin) deregister their inner central counter so each
-logical counter appears exactly once.
+its export.  Handles that keep internal counters (an shm handle's
+waiter mirror and seat count) deregister them so each logical counter
+appears exactly once, and the shm and service handles deregister
+themselves on ``close()``.
 """
 
 from __future__ import annotations

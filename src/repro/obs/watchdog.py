@@ -76,8 +76,8 @@ class StallReport:
 def capture_waiting(counter: object) -> tuple[int, list[tuple[int, int]]] | None:
     """(value lower bound, [(level, waiters), ...]) for one counter.
 
-    Sharded counters report published + pending (the never-over-reporting
-    capture of ``shard_snapshot``); asyncio counters may be mutated by
+    The value comes from the counter's own ``snapshot()`` (a lower bound
+    for fabric-backed handles); asyncio counters may be mutated by
     their loop mid-read, so a racing capture is retried once and then
     skipped — the watchdog must never crash on a live system.  Also the
     who-waits-on-what source for the testkit's instant deadlock reports
@@ -85,15 +85,8 @@ def capture_waiting(counter: object) -> tuple[int, list[tuple[int, int]]] | None
     """
     for _ in range(2):
         try:
-            shard_snapshot = getattr(counter, "shard_snapshot", None)
-            if shard_snapshot is not None:
-                sharded = shard_snapshot()
-                value = sharded.total
-            else:
-                value = None
             snap = counter.snapshot()
-            if value is None:
-                value = snap.value
+            value = snap.value
             waiting = [
                 (node.level, node.count)
                 for node in snap.nodes

@@ -52,7 +52,6 @@ from repro.testkit.harness import (
 from repro.testkit.invariants import (
     assert_counter_quiescent,
     assert_multiwait_closed,
-    assert_sharded_quiescent,
     tallies_consistent,
 )
 from repro.testkit.marks import ScheduleRun, interleave
@@ -116,7 +115,6 @@ __all__ = [
     "RunThread",
     "Probe",
     "assert_counter_quiescent",
-    "assert_sharded_quiescent",
     "assert_multiwait_closed",
     "tallies_consistent",
 ]

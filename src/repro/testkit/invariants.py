@@ -23,7 +23,6 @@ from __future__ import annotations
 
 __all__ = [
     "assert_counter_quiescent",
-    "assert_sharded_quiescent",
     "assert_multiwait_closed",
     "tallies_consistent",
 ]
@@ -58,20 +57,6 @@ def assert_counter_quiescent(counter, *, expect_value: int | None = None) -> Non
     counter.reset()  # must not raise ResetConcurrencyError
 
 
-def assert_sharded_quiescent(sharded, *, expect_value: int | None = None) -> None:
-    """Assert a :class:`ShardedCounter` is quiescent: no checkers
-    registered, and (after a flush) the central counter quiescent too."""
-    total = sharded.flush()
-    if expect_value is not None:
-        assert total == expect_value, f"value {total} != expected {expect_value}"
-    with sharded._checkers_lock:
-        checkers = sharded._checkers
-    assert checkers == 0, f"_checkers == {checkers} at quiescence"
-    pending = sharded.pending
-    assert pending == 0, f"{pending} pending after flush()"
-    assert_counter_quiescent(sharded._central)
-
-
 def assert_multiwait_closed(mw) -> None:
     """Assert a closed :class:`MultiWait` released every subscription and
     left the counters it watched quiescent-compatible (no wait-node or
@@ -90,8 +75,9 @@ def tallies_consistent(counter) -> None:
     Safe at any sync point: plain int/len reads of a counter whose owner
     thread is parked at a gate.  Register with
     ``controller.invariant_at(point, lambda obj: tallies_consistent(c))``
-    — ``obj`` is whatever primitive fired the point, which for nested
-    primitives (sharded → central) is not always the object under test.
+    — ``obj`` is whatever primitive fired the point, which for
+    ``node.*``, ``wheel.*`` and ``multiwait.*`` points is not the counter
+    under test.
     """
     live_levels = counter._live_levels
     live_waiters = counter._live_waiters

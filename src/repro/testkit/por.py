@@ -65,8 +65,6 @@ _OBJECT_SCOPED_PREFIXES = (
     "check.",
     "park.",
     "subscribe.",
-    "shard.",
-    "sharded.",
     "gcounter.",
     "wheel.",
 )

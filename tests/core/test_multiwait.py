@@ -10,7 +10,6 @@ from repro.core import (
     CounterValueError,
     MonotonicCounter,
     MultiWait,
-    ShardedCounter,
     barrier_levels,
     check_all,
     checkpoint,
@@ -155,7 +154,6 @@ def _implementations():
         pytest.param(lambda: MonotonicCounter(strategy="linked"), id="linked"),
         pytest.param(lambda: MonotonicCounter(strategy="heap"), id="heap"),
         pytest.param(BroadcastCounter, id="broadcast"),
-        pytest.param(ShardedCounter, id="sharded"),
     ]
 
 
@@ -268,7 +266,7 @@ class TestMultiWait:
     def test_mixed_implementations(self):
         a = MonotonicCounter(strategy="heap")
         b = BroadcastCounter()
-        c = ShardedCounter()
+        c = MonotonicCounter(strategy="linked")
         with MultiWait([(a, 1), (b, 1), (c, 1)]) as mw:
             threads = [spawn(x.increment, 1) for x in (a, b, c)]
             mw.wait_all(timeout=10)

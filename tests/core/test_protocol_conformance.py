@@ -1,9 +1,10 @@
 """Every counter in the repo satisfies the one §2 contract.
 
-Conformance matrix over: the three thread counters, the traced counter,
-the asyncio counter (via a sync adapter), and the simulator counter (via
-a micro-simulation adapter).  Each must expose ``value``/``increment``/
-``check`` with identical observable semantics on a shared scenario.
+Conformance matrix over: the thread counters (linked, heap, broadcast),
+the traced counter, the asyncio counter (via a sync adapter), and the
+simulator counter (via a micro-simulation adapter).  Each must expose
+``value``/``increment``/``check`` with identical observable semantics on
+a shared scenario.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.core import BroadcastCounter, CounterProtocol, MonotonicCounter, ShardedCounter
+from repro.core import BroadcastCounter, CounterProtocol, MonotonicCounter
 from repro.determinism import DeterminismChecker
 
 
@@ -45,8 +46,6 @@ IMPLEMENTATIONS = {
     "linked-locked": lambda: MonotonicCounter(strategy="linked", fast_path=False),
     "heap": lambda: MonotonicCounter(strategy="heap"),
     "broadcast": BroadcastCounter,
-    # batch=1 publishes every increment: exact, fully synchronous semantics.
-    "sharded": lambda: ShardedCounter(batch=1),
     "traced": lambda: DeterminismChecker().counter("c"),
     "async-adapter": make_async_adapter,
 }

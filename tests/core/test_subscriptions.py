@@ -6,14 +6,13 @@ import threading
 
 import pytest
 
-from repro.core import BroadcastCounter, MonotonicCounter, ShardedCounter
+from repro.core import BroadcastCounter, MonotonicCounter
 from tests.helpers import join_all, spawn, wait_until
 
 IMPLEMENTATIONS = [
     pytest.param(lambda: MonotonicCounter(strategy="linked"), id="linked"),
     pytest.param(lambda: MonotonicCounter(strategy="heap"), id="heap"),
     pytest.param(BroadcastCounter, id="broadcast"),
-    pytest.param(ShardedCounter, id="sharded"),
 ]
 
 
@@ -141,24 +140,3 @@ class TestMonotonicNodeSharing:
         incrementer = spawn(counter.increment, 1)
         join_all([incrementer])
         assert fired_in == [incrementer]
-
-
-class TestShardedEagerFlush:
-    def test_subscription_forces_eager_publication(self):
-        """While a subscription is outstanding the sharded counter must
-        publish every increment immediately (no stalling in a shard), so
-        the callback arrives from the increment that reaches the level."""
-        counter = ShardedCounter()
-        fired = []
-        counter.subscribe(3, lambda: fired.append(True))
-        for _ in range(3):
-            counter.increment(1)
-        assert fired == [True]
-
-    def test_checker_slot_released_after_fire_and_cancel(self):
-        counter = ShardedCounter()
-        done = counter.subscribe(1, lambda: None)
-        kept = counter.subscribe(5, lambda: None)
-        counter.increment(1)  # fires `done`, which releases its slot
-        kept.cancel()
-        assert counter._checkers == 0

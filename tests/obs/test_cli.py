@@ -33,13 +33,10 @@ class TestDumpCommand:
         assert proc.returncode == 0, proc.stderr
         state = json.loads(proc.stdout)
         names = {d["name"] for d in state["counters"]}
-        assert {"demo-fanin", "demo-sharded"} <= names
+        assert "demo-fanin" in names
         fanin = next(d for d in state["counters"] if d["name"] == "demo-fanin")
         assert fanin["stats"]["increments"] == 5
         assert fanin["stats"]["timeouts"] == 1
-        sharded = next(d for d in state["counters"] if d["name"] == "demo-sharded")
-        assert "published" in sharded and "pending" in sharded
-        assert sharded["value"] >= 32  # the demo checked level 32
 
     def test_cold_dump_is_empty_but_valid(self):
         proc = _run("dump")
@@ -82,8 +79,7 @@ class TestSampleCommand:
             assert {"ts", "kind", "source", "thread"} <= set(event)
             kinds.add(event["kind"])
         # The demo workload is built to exercise the headline kinds.
-        assert {"increment", "park", "unpark", "release", "timeout",
-                "flush"} <= kinds
+        assert {"increment", "park", "unpark", "release", "timeout"} <= kinds
 
         dump = json.loads((out / "dump.json").read_text())
         assert dump["counters"]

@@ -1,21 +1,16 @@
-"""State introspection: ``dump_counter``/``dump_state`` and the sharded
-never-over-report guarantee.
+"""State introspection: ``dump_counter``/``dump_state``.
 
 The acceptance bar: a dump taken while threads are parked shows *every*
-waiting level with its waiter count, and a sharded counter's reported
-total is a lower bound on the true global value under concurrent
-increments — always, not just on average (the hammer below samples the
-capture thousands of times against a ground-truth issued tally).
+waiting level with its waiter count.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import repro.obs as obs
 from repro.aio import AsyncCounter
-from repro.core import MonotonicCounter, ShardedCounter
+from repro.core import MonotonicCounter
 from repro.obs import dump_counter, dump_state
 from tests.helpers import join_all, spawn, wait_until
 
@@ -151,65 +146,6 @@ class TestDumpState:
         assert doc["value"] == 2
         assert [w["level"] for w in doc["waiting"]] == [5]
         assert doc["total_waiters"] == 1
-
-
-class TestShardedDump:
-    def test_pending_and_published_with_reconciled_lower_bound(self):
-        sharded = ShardedCounter(shards=2, batch=1000, name="sharded-dump")
-        for _ in range(5):
-            sharded.increment(1)  # stays pending: batch never reached
-
-        snap = sharded.shard_snapshot()
-        assert snap.published == 0
-        assert sum(snap.pending) == 5
-        assert len(snap.pending) == 2
-        assert snap.total == 5
-
-        doc = dump_counter(sharded)
-        assert doc["published"] == 0
-        assert sum(doc["pending"]) == 5
-        assert doc["value"] == 5  # the reconciled lower bound IS the value
-
-        assert sharded.flush() == 5
-        doc = dump_counter(sharded)
-        assert doc["published"] == 5 and sum(doc["pending"]) == 0
-
-    def test_snapshot_total_never_exceeds_the_true_total(self):
-        """The capture-order invariant, hammered: concurrent producers
-        drive the counter while the main thread samples
-        ``shard_snapshot`` and bounds it against a ground-truth issued
-        tally.  Each producer bumps its issued slot BEFORE incrementing,
-        so at any capture the units inside the counter are a subset of
-        the issued tally read afterwards — any over-reporting capture
-        would break the assertion deterministically."""
-        sharded = ShardedCounter(shards=4, batch=8, name="hammer-sharded")
-        producers, per_producer = 4, 3000
-        issued = [0] * producers
-        start = threading.Barrier(producers + 1)
-
-        def produce(slot):
-            start.wait()
-            for _ in range(per_producer):
-                issued[slot] += 1
-                sharded.increment(1)
-
-        threads = [spawn(produce, slot) for slot in range(producers)]
-        start.wait()
-        last_published = 0
-        done = False
-        while not done:
-            done = all(not t.is_alive() for t in threads)
-            snap = sharded.shard_snapshot()
-            true_total = sum(issued)  # read AFTER the capture completed
-            assert snap.total <= true_total, (snap, true_total)
-            assert all(p >= 0 for p in snap.pending)
-            # The published value is monotone across samples.
-            assert snap.published >= last_published
-            last_published = snap.published
-
-        join_all(threads)
-        assert sharded.value == producers * per_producer
-        assert sharded.shard_snapshot().total == producers * per_producer
 
 
 class TestEngineInternals:

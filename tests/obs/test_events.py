@@ -12,9 +12,12 @@ mid-wait).
 from __future__ import annotations
 
 import asyncio
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.obs as obs
 from repro.aio import AsyncCounter
 from repro.core import (
@@ -22,7 +25,6 @@ from repro.core import (
     CheckTimeout,
     MonotonicCounter,
     MultiWait,
-    ShardedCounter,
 )
 from repro.core import counter as counter_mod
 from repro.core.engine import ParkingSlot, WheelEntry
@@ -63,9 +65,9 @@ class TestEvent:
             event.kind = "unpark"
 
     def test_kind_registry_is_complete(self):
-        assert len(KINDS) == 24
+        assert len(KINDS) == 22
         for kind in ("increment", "release", "park", "unpark", "timeout",
-                     "sub_fire", "flush", "drain",
+                     "sub_fire",
                      "mw_park", "mw_wake", "mw_timeout", "stall",
                      # schema v3: the cross-process fabric
                      "frame_send", "frame_recv", "batch_flush",
@@ -74,6 +76,16 @@ class TestEvent:
                      # schema v3.1: the load/SLO layer
                      "req_start", "req_done", "frame_ride", "slo_breach"):
             assert kind in KINDS
+
+    def test_every_kind_has_an_emit_site(self):
+        """The literal kinds at the ``emit((ts, "kind", ...`` and
+        ``on_dist(source, "kind", ...`` sites are exactly ``KINDS``: no
+        site emits an unregistered kind and no registered kind is dead."""
+        site = re.compile(r'\b(?:emit\(\(|on_dist\()\s*[^,()]+(?:\(\))?,\s*"(\w+)"')
+        emitted = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            emitted.update(site.findall(path.read_text()))
+        assert emitted == KINDS
 
 
 class TestTraceBuffer:
@@ -317,16 +329,7 @@ class TestEveryResumeBranchEmitsOneUnpark:
         assert_counter_quiescent(counter, expect_value=1)
 
 
-class TestShardedAndMultiWaitKinds:
-    def test_shard_flush_is_traced(self):
-        handle = obs.enable()
-        sharded = ShardedCounter(shards=2, batch=2, name="fl-counter")
-        for _ in range(4):  # one thread -> one shard -> two batch flushes
-            sharded.increment(1)
-        kinds = _kinds(handle, "fl-counter")
-        assert "flush" in kinds
-        assert kinds.count("flush") >= 2
-
+class TestMultiWaitKinds:
     def test_multiwait_park_and_wake(self):
         handle = obs.enable()
         a, b = MonotonicCounter(), MonotonicCounter()

@@ -8,10 +8,13 @@ files away.
 
 from __future__ import annotations
 
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import MonotonicCounter
 from repro.core import syncpoints
 from repro.testkit import (
@@ -378,3 +381,15 @@ class TestInterleaveDecorator:
 
         marks = getattr(body, "pytestmark", [])
         assert any(m.name == "interleave" for m in marks)
+
+
+class TestPointRegistry:
+    def test_fire_sites_match_the_registry(self):
+        """Every ``_sp.fire("point", ...)`` literal in the package is in
+        ``syncpoints.POINTS`` and every registered point has a site."""
+        site = re.compile(r'_sp\.fire\(\s*"([^"]+)"')
+        fired = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            fired.update(site.findall(path.read_text()))
+        assert fired == syncpoints.POINTS
+        assert syncpoints.BLOCKING_POINTS <= syncpoints.POINTS
