@@ -51,17 +51,21 @@ Keys are LRU-bounded (``max_keys``): the least-recently-touched entry is
 evicted first, but never while it is pinned — an acquirer holds its pin
 from the touch through the decision and any park, and evicting a
 counter out from under a ``check`` would strand the thread forever.
-Locally, eviction keeps the key's in-window **residue**: the entry is
-rolled, and its marks, rebased to ``retired``, wait in a map that
-expires one window after the eviction.  A key re-created within the
-window starts from that residue (``admitted`` raised to the residual
-count), so eviction never forgets an admit that is still in the window
-and never lets a key over-admit.  Service counters outlive their
-client-side entry and need no residue.
+Locally, eviction keeps the key's in-window **residue**: the window is
+stored as it stands, ``(evicted_at, marks, admitted, retired)``, in a
+map that expires one window after the eviction.  Most evicted keys do
+not come back before it expires, so the roll and the rebase wait for
+the one that does: a key re-created within the window rolls the stored
+marks at ``evicted_at``, rebases them to ``retired``, and starts from
+that residue (``admitted`` raised to the residual count) — the same
+entry an eviction-time roll would have left.  So eviction never forgets an admit
+that is still in the window and never lets a key over-admit.  Service
+counters outlive their client-side entry and need no residue.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -92,6 +96,13 @@ def _roll_marks(marks: deque, now: float, horizon: float, admitted: int) -> int 
     if not marks or marks[-1][1] != admitted:
         marks.append((now, admitted))
     return target
+
+
+def _check_seconds(name: str, value: float) -> None:
+    """Raise unless ``value`` is a finite, positive number of seconds."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class LocalBackend:
@@ -230,18 +241,21 @@ class RateLimiter:
                  clock: Callable[[], float] = time.monotonic) -> None:
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ValueError(f"limit must be a positive int, got {limit!r}")
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s!r}")
-        if max_keys < 1:
-            raise ValueError(f"max_keys must be >= 1, got {max_keys!r}")
+        # A NaN or infinite window or roll interval never rolls: the
+        # key admits its limit once and then rejects forever.
+        _check_seconds("window_s", window_s)
+        if roll_interval is None:
+            roll_interval = window_s / 8.0
+        _check_seconds("roll_interval", roll_interval)
+        if (not isinstance(max_keys, int) or isinstance(max_keys, bool)
+                or max_keys < 1):
+            raise ValueError(f"max_keys must be an int >= 1, got {max_keys!r}")
         self.limit = limit
         self.window_s = window_s
         self.name = name
         self.backend = backend if backend is not None else LocalBackend()
         self.max_keys = max_keys
-        self.roll_interval = (
-            roll_interval if roll_interval is not None else window_s / 8.0
-        )
+        self.roll_interval = roll_interval
         self._clock = clock
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         # Lock order: _entries_lock, then entry.lock — never the reverse.
@@ -249,9 +263,9 @@ class RateLimiter:
         self._roller: threading.Thread | None = None
         self._roller_stop = threading.Event()
         self.evictions = 0
-        #: Evicted keys' in-window admits (local backends only), oldest
-        #: eviction first: key -> (evicted_at, marks rebased to zero).
-        self._residue: OrderedDict[str, tuple[float, list]] = OrderedDict()
+        #: Evicted keys' windows (local backends only), oldest eviction
+        #: first: key -> (evicted_at, marks, admitted, retired).
+        self._residue: OrderedDict[str, tuple] = OrderedDict()
 
     # -------------------------------------------------------------- entries
 
@@ -259,8 +273,9 @@ class RateLimiter:
         """LRU-touch (creating if new, evicting if over budget).
 
         The returned entry is **pinned**: the caller owes one
-        ``entry.pins`` decrement (``_decide`` pays it on admit; the
-        reject paths pay it after parking or giving up).  Without the
+        ``entry.pins`` decrement (``_decide`` pays it on an admit and on
+        a reject that will not park; ``acquire`` pays it after parking
+        or giving up).  Without the
         pin, an eviction sweeping between this return and the decision
         could orphan the entry, and a re-created key would admit against
         fresh counters — over quota.
@@ -280,10 +295,11 @@ class RateLimiter:
                 now,
             )
             residue = self._residue.pop(key, None)
-            if residue is not None and residue[1][-1][0] > now - self.window_s:
+            marks = None if residue is None else self._rebase(residue, now)
+            if marks:
                 # Carry on from the evicted entry's window, as if it had
                 # never left: same in-window count, same marks to retire.
-                entry.last_roll, marks = residue  # evicted_at: its last roll
+                entry.last_roll = residue[0]  # evicted_at: its last roll
                 entry.admitted.increment(marks[-1][1])
                 entry.marks.extend(marks)
             else:
@@ -317,20 +333,43 @@ class RateLimiter:
         return entry
 
     def _keep_residue(self, entry: _Entry, now: float) -> None:
-        """Remember an evicting entry's in-window admits (its lock held).
+        """Store an evicting entry's window as it stands (its lock held).
 
-        The entry is rolled at ``now`` and its marks are rebased to
-        ``retired``, so a key re-created within the window starts from
-        the same estimate instead of an empty window.
+        Stores ``(evicted_at, marks, admitted, retired)``.  On the
+        ``quota_local`` traffic shape three evicted keys in four never
+        come back before the residue expires, so the roll and rebase
+        wait for the one that does (:meth:`_rebase`).  The marks
+        are detached from the dead entry: a :meth:`roll` that listed the
+        entry before the eviction rolls an empty ring, not the stored
+        window.
         """
-        if entry.marks[-1][0] <= now - self.window_s:
+        marks = entry.marks
+        if marks[-1][0] <= now - self.window_s:
             return  # every admit has left the window
-        self._roll_locked(entry, now)
-        base = self.backend.retired_value(entry.retired)
-        if entry.marks[-1][1] > base:
-            self._residue[entry.key] = (
-                now, [(ts, value - base) for ts, value in entry.marks]
-            )
+        entry.marks = deque()
+        self._residue[entry.key] = (
+            now, marks,
+            self.backend.admitted_value(entry.admitted),
+            self.backend.retired_value(entry.retired),
+        )
+
+    def _rebase(self, residue: tuple, now: float) -> list | None:
+        """An evicted window as the key's next entry starts it.
+
+        Rolls the stored marks at the eviction instant, exactly as an
+        eviction-time roll would have (:func:`_roll_marks` is a pure
+        function of its inputs), and rebases them to the ``retired``
+        that roll reaches.  ``None`` when nothing of the window is left
+        at ``now``.
+        """
+        evicted_at, marks, admitted, retired = residue
+        target = _roll_marks(marks, evicted_at, evicted_at - self.window_s,
+                             admitted)
+        if target is not None and target > retired:
+            retired = target
+        if marks[-1][1] <= retired or marks[-1][0] <= now - self.window_s:
+            return None
+        return [(ts, value - retired) for ts, value in marks]
 
     def _expire_residue(self, now: float) -> None:
         """Drop residue evicted a window or more ago (limiter lock held)."""
@@ -414,16 +453,17 @@ class RateLimiter:
 
     # ------------------------------------------------------------ admission
 
-    def _decide(self, entry: _Entry, corr: str | None,
-                now: float) -> tuple[bool, int]:
+    def _decide(self, entry: _Entry, corr: str | None, now: float,
+                park: bool) -> tuple[bool, int]:
         """One locked admit decision; returns (admitted?, retired level).
 
         The returned level is what a rejected caller should wait past:
         ``retired`` reaching ``level + 1`` means quota was freed after
         this decision was made.  The entry arrives pinned (``_touch``);
-        an admit releases the pin here, a reject keeps it — the caller
-        holds it through the park (or the give-up) so the eviction sweep
-        never pulls the counters out from under a waiter.
+        an admit releases the pin here, and so does a reject when the
+        caller will not ``park``.  A caller that parks holds the pin
+        through the park (or the give-up) so the eviction sweep never
+        pulls the counters out from under a waiter.
         """
         if _sp.enabled:
             _sp.fire("ratelimit.lock", self)
@@ -444,6 +484,8 @@ class RateLimiter:
                     entry.marks[-1] = (entry.marks[-1][0], admitted_v + 1)
                 entry.pins -= 1
                 return True, retired_v
+            if not park:
+                entry.pins -= 1
             return False, retired_v
 
     def try_acquire(self, key: str, *, corr: str | None = None) -> bool:
@@ -454,12 +496,7 @@ class RateLimiter:
         the only hooks are sync points, which cost one module-attr read
         each, identical to every other primitive in the repo.
         """
-        entry = self._touch(key)
-        ok, _ = self._decide(entry, corr, self._clock())
-        if not ok:
-            with entry.lock:
-                entry.pins -= 1
-        return ok
+        return self._decide(self._touch(key), corr, self._clock(), False)[0]
 
     def acquire(self, key: str, timeout: float | None = None, *,
                 corr: str | None = None) -> bool:
@@ -474,7 +511,7 @@ class RateLimiter:
         entry = self._touch(key)
         while True:
             now = self._clock()
-            ok, retired_v = self._decide(entry, corr, now)
+            ok, retired_v = self._decide(entry, corr, now, True)
             if ok:
                 return True
             try:

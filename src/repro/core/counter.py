@@ -246,9 +246,13 @@ class MonotonicCounter(AbstractCounter):
 
     @property
     def value(self) -> int:
-        """Current value.  Diagnostic only — synchronize with ``check``."""
-        with self._lock:
-            return self._value
+        """Current value.  Diagnostic only — synchronize with ``check``.
+
+        Read without the lock, on the ``check`` fast path's argument:
+        the value never decreases, so a possibly stale read is a value
+        the counter really held and can only under-report.
+        """
+        return self._value
 
     def increment(self, amount: int = 1) -> int:
         """Atomically add ``amount`` and wake all newly-satisfied waiters.
@@ -807,8 +811,7 @@ class BroadcastCounter(AbstractCounter):
 
     @property
     def value(self) -> int:
-        with self._cond:
-            return self._value
+        return self._value  # lock-free: monotone, as in MonotonicCounter
 
     def increment(self, amount: int = 1) -> int:
         amount = validate_amount(amount)

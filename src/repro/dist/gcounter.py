@@ -185,9 +185,14 @@ class GCounter:
 
     @property
     def value(self) -> int:
-        """The replicated total (sum of per-source maxes)."""
-        with self._lock:
-            return self._total
+        """The replicated total (sum of per-source maxes).
+
+        Read without the lock: ``_total`` only grows, and each mutation
+        stores it in one assignment, so a racing read sees a total the
+        counter really held — a lower bound, like the ``check`` fast
+        path's read.
+        """
+        return self._total
 
     def sources(self) -> Iterable[str]:
         with self._lock:

@@ -11,6 +11,7 @@ coverage of the same invariants lives in
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import random
 import threading
@@ -21,6 +22,9 @@ import pytest
 
 from repro.apps.ratelimit import LocalBackend, RateLimiter
 from tests.helpers import join_all, spawn, wait_until
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def fixed_clock(value: float = 0.0):
@@ -39,14 +43,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RateLimiter(limit, 1.0)
 
-    @pytest.mark.parametrize("window", [0, -0.5])
+    @pytest.mark.parametrize("window", [0, -0.5, NAN, INF, True, "1"])
     def test_window_must_be_positive(self, window):
         with pytest.raises(ValueError):
             RateLimiter(5, window)
 
+    @pytest.mark.parametrize("interval", [0, -1.0, NAN, INF])
+    def test_roll_interval_must_be_finite_and_positive(self, interval):
+        with pytest.raises(ValueError):
+            RateLimiter(5, 1.0, roll_interval=interval)
+
     def test_max_keys_must_be_positive(self):
         with pytest.raises(ValueError):
             RateLimiter(5, 1.0, max_keys=0)
+
+    @pytest.mark.parametrize("max_keys", [1.5, True, "8"])
+    def test_max_keys_must_be_an_int(self, max_keys):
+        with pytest.raises(ValueError):
+            RateLimiter(5, 1.0, max_keys=max_keys)
 
     def test_roll_interval_defaults_to_an_eighth_of_the_window(self):
         assert RateLimiter(5, 8.0).roll_interval == pytest.approx(1.0)
@@ -173,6 +187,31 @@ class TestBlockingAcquire:
                 limiter.start_roller()
 
 
+class _AfterRelease:
+    """A lock that calls ``hook`` once, right after its first release."""
+
+    def __init__(self, lock, hook) -> None:
+        self._lock = lock
+        self._hook = hook
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+        hook, self._hook = self._hook, None
+        if hook is not None:
+            hook()
+
+
+#: sha256 of the Zipf replay's decision sequence (one byte per call).
+REPLAY_DIGESTS = {
+    1: "82883f5db30998837d08310008d6c98a4e1ecf02d445442d2528635405259477",
+    2: "e9abcb1880cfd951f30fc19630361526f63a6f38999e58510fc0ad383492e7d7",
+}
+
+
 class TestLru:
     def test_eviction_is_oldest_first_and_counted(self):
         limiter = RateLimiter(2, 1.0, max_keys=2)
@@ -251,6 +290,34 @@ class TestLru:
         clock.now = 1.05
         assert limiter.try_acquire("a")  # the t=0 admits have aged out
 
+    def test_roll_holding_an_evicted_entry_leaves_its_window_alone(self):
+        # roll() lists the live entries, and before it reaches "a" an
+        # eviction stores a's window.  The roll then runs on the dead
+        # entry; the re-created "a" must start from the same window as
+        # on a twin limiter where no roll raced the eviction.
+        def run(race_a_roll: bool) -> tuple[list, list]:
+            clock = fixed_clock()
+            limiter = RateLimiter(2, 1.0, max_keys=1, clock=clock)
+            assert limiter.try_acquire("a") and limiter.try_acquire("a")
+            clock.now = 0.1
+            if race_a_roll:
+                limiter._entries_lock = _AfterRelease(
+                    limiter._entries_lock, lambda: limiter.try_acquire("b"))
+                limiter.roll(now=5.0)
+            else:
+                limiter.try_acquire("b")
+            assert limiter.keys() == ["b"]
+            clock.now = 0.2
+            decisions = [limiter.try_acquire("a")]
+            marks = list(limiter._entries["a"].marks)
+            for now in (0.5, 1.05):
+                clock.now = now
+                decisions.append(limiter.try_acquire("a"))
+            return decisions, marks
+
+        assert run(race_a_roll=True) == run(race_a_roll=False)
+        assert run(race_a_roll=False)[0] == [False, False, True]
+
     def test_residue_expires_after_one_window(self):
         clock = fixed_clock()
         limiter = RateLimiter(5, 1.0, max_keys=1, clock=clock)
@@ -272,6 +339,8 @@ class TestLru:
         # Poisson arrivals over 8x more keys than LRU slots, so evicted
         # keys come back while their admits are still in the window.
         # The oracle counts admits per key in every (t - window, t].
+        # The sha256 of the decision sequence pins every decision: an
+        # eviction or residue change that flips one fails here.
         rate, seconds, nkeys = 4000.0, 10.0, 2048
         rng = random.Random(seed)
         cum = list(itertools.accumulate(
@@ -281,6 +350,7 @@ class TestLru:
         admitted: dict[int, deque] = {}
         allowed: dict[int, deque] = {}
         t = violations = admits = best = 0
+        decisions = bytearray()
         while True:
             t += rng.expovariate(rate)
             if t >= seconds:
@@ -294,7 +364,9 @@ class TestLru:
             if len(greedy) < limiter.limit:
                 greedy.append(t)
                 best += 1
-            if limiter.try_acquire(f"k{key}"):
+            ok = limiter.try_acquire(f"k{key}")
+            decisions.append(ok)
+            if ok:
                 admits += 1
                 window = admitted.setdefault(key, deque())
                 while window and window[0] <= horizon:
@@ -304,6 +376,7 @@ class TestLru:
         assert limiter.evictions > 5000
         assert violations == 0
         assert admits / best > 0.95
+        assert hashlib.sha256(decisions).hexdigest() == REPLAY_DIGESTS[seed]
 
     def test_close_releases_everything(self):
         limiter = RateLimiter(2, 1.0)
