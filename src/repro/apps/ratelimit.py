@@ -35,17 +35,19 @@ Two backends:
   ``tests/testkit/test_ratelimit_interleave.py``.
 * **service** (:class:`ServiceBackend`) — counters live in a PR-7
   :class:`~repro.dist.service.CounterService`; an admit is a dict write
-  into the thread-side endpoint's pool, which ships batched ``inc``
-  frames once per flush window (10ms by default; tagged per-request
-  via ``corr`` riders), and *only the service host rolls*
-  (:func:`serve_rolls` — ``raise_source`` is max-merge per source, so
-  two rollers racing would retire the same admissions twice and
-  over-admit).  Client decisions then use acknowledged lower bounds
-  floored at the client's own admits (counted before they pool),
-  giving a documented bounded overshoot of at most the *other*
-  clients' admits this client has not yet seen acknowledged — each
-  can stay unseen for up to one flush window plus a round trip; the
-  strict guarantee is the in-process one.
+  into the thread-side endpoint's pool, which ships one ``inc`` frame
+  per flush window (50ms by default; tagged per-request via ``corr``
+  riders), and *only the service host rolls* (:func:`serve_rolls` —
+  ``raise_source`` is max-merge per source, so two rollers racing
+  would retire the same admissions twice and over-admit).  Client
+  decisions use the last totals the service reported (lower bounds)
+  floored at the client's own admits (counted before they pool).
+  Pooled ``inc`` frames are never acked, and a handle's reported total
+  moves only on a ``get``, an acked ``flush`` or a ``reached`` push,
+  none of which ``try_acquire`` makes.  So another client's admits
+  stay unseen for good: with N clients on one key, each may admit a
+  full limit of its own per window, up to N times the limit in all
+  (ROADMAP item 1).  The strict guarantee is the in-process one.
 
 Keys are LRU-bounded (``max_keys``): the least-recently-touched entry is
 evicted first, but never while it is pinned — an acquirer holds its pin
@@ -145,9 +147,12 @@ class ServiceBackend:
 
     Built over a thread-side endpoint
     (:func:`repro.dist.client.open_threadside`).  Admission reads are
-    acknowledged lower bounds — ``admitted`` additionally floors at our
-    own admits, counted on the deciding thread before the increment
-    pools for the loop, so a client never races its own admits.  An
+    the last totals the service reported, lower bounds — ``admitted``
+    additionally floors at our own admits, counted on the deciding
+    thread before the increment pools for the loop, so a client never
+    races its own admits.  Nothing on the admit path refreshes those
+    totals, so another client's admits are never seen: each client may
+    admit a full limit of its own per window.  An
     evicted key's handles are closed, and a closed handle raises on
     ``increment``; the entry pins keep every ``bump`` on an open one.  The
     service host must run :func:`serve_rolls` for this limiter's keys or
@@ -529,21 +534,53 @@ class RateLimiter:
 
     # ------------------------------------------------------------ inspection
 
+    def _residue_window(self, residue: tuple, now: float) -> int:
+        """An evicted key's window estimate, as its next entry would
+        start it; rolls a copy, so the stored marks stay as they are."""
+        evicted_at, marks, admitted, retired = residue
+        marks = self._rebase((evicted_at, deque(marks), admitted, retired), now)
+        return 0 if marks is None else marks[-1][1]
+
     def in_window(self, key: str) -> int:
-        """The current window estimate for ``key`` (0 for unknown keys)."""
+        """The current window estimate for ``key`` (0 for unknown keys).
+
+        An evicted key reads its residue: the count its next decision
+        starts from.
+        """
         with self._entries_lock:
             entry = self._entries.get(key)
-        if entry is None:
-            return 0
+            if entry is None:
+                residue = self._residue.get(key)
+                if residue is None:
+                    return 0
+                return self._residue_window(residue, self._clock())
         with entry.lock:
             return (self.backend.admitted_value(entry.admitted)
                     - self.backend.retired_value(entry.retired))
 
     def snapshot(self) -> dict:
-        """Per-key admission state (for dumps and tests)."""
+        """Per-key admission state (for dumps and tests).
+
+        Evicted keys whose residue still holds admits are listed too,
+        with ``"evicted": True``.
+        """
         with self._entries_lock:
             entries = list(self._entries.items())
+            now = self._clock()
+            evicted = [(key, residue, self._residue_window(residue, now))
+                       for key, residue in self._residue.items()]
         out = {}
+        for key, residue, in_window in evicted:
+            if in_window:
+                admitted_v = residue[2]
+                out[key] = {
+                    "admitted": admitted_v,
+                    "retired": admitted_v - in_window,
+                    "in_window": in_window,
+                    "marks": len(residue[1]),
+                    "pins": 0,
+                    "evicted": True,
+                }
         for key, entry in entries:
             with entry.lock:
                 admitted_v = self.backend.admitted_value(entry.admitted)

@@ -4,13 +4,14 @@
 service's performance story.  ``increment()`` is an ordinary (non-async)
 method that only touches process-local state: it grows this source's
 absolute contribution and marks the counter dirty.  A flusher task wakes
-once per flush window (default 1ms) and ships **one** ``inc`` frame per
-dirty counter carrying the absolute contribution — a window's worth of
-increments collapses into a single frame, and because the server merges
-with max-per-source, coalescing, retransmission, and reordering are all
-semantics-preserving.  Compare :meth:`AsyncCounterClient.increment_rpc`,
-the one-frame-one-ack baseline the benchmark measures the pipeline
-against.
+once per flush window (default 1ms) and ships **one** ``inc`` frame
+carrying every dirty counter's absolute contribution (``f``, a list of
+``[counter, floor]`` pairs) — a window's worth of increments, on any
+number of counters, collapses into a single frame, and because the
+server merges with max-per-source, coalescing, retransmission, and
+reordering are all semantics-preserving.  Compare
+:meth:`AsyncCounterClient.increment_rpc`, the one-frame-one-ack
+baseline the benchmark measures the pipeline against.
 
 ``check()`` rides the service's subscription push (one ``sub`` frame,
 one ``reached`` frame when the level is crossed) instead of polling; a
@@ -23,11 +24,16 @@ returns satisfied.
 a background event loop (via :func:`open_threadside`) and parks the
 calling thread through :func:`repro.aio.bridge.wait_threadside` — the
 engine's parking slot is the only thread-blocking primitive in the stack.
-Its increments pool in the endpoint: only the first one of a window
-wakes the loop (one ``call_soon_threadsafe``), and the loop ships the
-whole pool in one socket write when the window ends.  The thread-side
-window defaults to 10ms, not 1ms, because each window costs the loop
-thread a wake as well as a timer; a floor that ships later keeps its
+Its increments pool in the endpoint.  The increment that finds the pool
+unarmed wakes the loop (one ``call_soon_threadsafe``), and the loop
+ships the pool at once, so a lone increment reaches the service in one
+round trip.  A ship that wrote anything chains a timer one window later;
+the timer ships what pooled meanwhile and chains again, or disarms on an
+empty pool.  Under steady traffic the calling threads make no syscall
+and the loop wakes once per window, on its timer, for one ``inc`` frame
+in one socket write.  The thread-side window defaults to 50ms, not 1ms,
+because each window costs a loop wake and a service wake (~100–250 µs
+of CPU each on a one-vCPU host); a floor that ships later keeps its
 value, since the server max-merges per source.  It registers with the
 observability registry, so ``python -m repro.obs dump`` shows
 service-backed waiters alongside in-process ones; its reported value is
@@ -57,9 +63,11 @@ __all__ = ["AsyncCounterClient", "ServiceCounter", "open_threadside"]
 FLUSH_INTERVAL = 0.001
 
 #: Default window of :func:`open_threadside`.  Longer than the loop-side
-#: one: every thread-side window costs the loop thread a wake and a timer,
-#: and a floor that ships later keeps its value (max-merge per source).
-THREADSIDE_FLUSH_INTERVAL = 0.010
+#: one: every thread-side window costs the loop thread a wake and the
+#: service a wake, and a floor that ships later keeps its value (max-merge
+#: per source).  Under steady traffic a remote waiter may see a floor up
+#: to one window late.
+THREADSIDE_FLUSH_INTERVAL = 0.050
 
 #: Grace added to a thread-side wait deadline so the server-side timeout
 #: adjudication (a ``get`` round-trip) can finish before the thread gives
@@ -85,7 +93,7 @@ class AsyncCounterClient:
         self._contrib: dict[str, int] = {}   # our absolute contribution
         self._known: dict[str, int] = {}     # last server-reported total
         self._dirty: set[str] = set()
-        self._riders: dict[str, list[str]] = {}  # counter -> request corrs
+        self._riders: list[str] = []        # request corrs of the next frame
         self._dirty_event = asyncio.Event()
         self._ids = itertools.count(1)
         self._replies: dict[Any, asyncio.Future] = {}
@@ -119,9 +127,9 @@ class AsyncCounterClient:
         """Pool ``amount`` into the next flush; returns our contribution.
 
         Not a coroutine and never blocks: the cost is two dict writes.
-        The wire cost is amortized to at most one frame per counter per
-        flush window regardless of call rate — that is the pipelining
-        the benchmark quantifies.
+        The wire cost is amortized to at most one frame per flush window
+        regardless of call rate or counter count — that is the
+        pipelining the benchmark quantifies.
 
         ``corr`` tags this logical increment as a *rider* of whichever
         batched frame eventually carries it: the flusher emits one
@@ -136,7 +144,7 @@ class AsyncCounterClient:
         total = self._contrib.get(counter, 0) + amount
         self._contrib[counter] = total
         if corr is not None:
-            self._riders.setdefault(counter, []).append(corr)
+            self._riders.append(corr)
         self._dirty.add(counter)
         self._dirty_event.set()
         return total
@@ -149,22 +157,20 @@ class AsyncCounterClient:
         """Unpipelined baseline: one frame, one awaited ack, per call.
 
         Same merge semantics as :meth:`increment` (ships the absolute
-        contribution), so mixing the two is safe; exists so the
-        benchmark can measure what the flush window buys.
+        contribution, as a one-floor ``inc``), so mixing the two is
+        safe; exists so the benchmark can measure what the flush window
+        buys.  Pooled riders stay for the next flush, which ships this
+        counter's floor again.
         """
         amount = validate_amount(amount)
         total = self._contrib.get(counter, 0) + amount
         self._contrib[counter] = total
-        self._dirty.discard(counter)  # this frame carries the new floor
-        riders = self._riders.pop(counter, None)
-        frame = {"op": "inc", "c": counter, "s": self.source, "v": total}
-        reply = await self._request(frame)
-        if riders and "t" in frame and _obs.enabled:
-            for rider in riders:
-                _obs.on_dist(self._obs_label, "frame_ride",
-                             corr=rider, op=frame["t"])
-        self._note_value(counter, reply["v"])
-        return reply["v"]
+        reply = await self._request(
+            {"op": "inc", "s": self.source, "f": [[counter, total]]}
+        )
+        value = reply["f"][0][1]
+        self._note_value(counter, value)
+        return value
 
     async def _flush_loop(self) -> None:
         while True:
@@ -174,73 +180,60 @@ class AsyncCounterClient:
             await self._flush_now(acked=False)
 
     async def _flush_now(self, *, acked: bool) -> None:
-        pending = self._write_dirty(acked=acked)
-        if acked and pending is None:
-            # Nothing pooled, but earlier unacked frames may be in flight:
-            # TCP ordering + sequential dispatch make any round trip a
-            # barrier, and a `get` creates nothing server-side.
-            await self._request({"op": "get", "c": ""})
+        if not self._dirty:
+            if acked:
+                # Nothing pooled, but earlier unacked frames may be in
+                # flight: TCP ordering + sequential dispatch make any
+                # round trip a barrier, and a `get` creates nothing
+                # server-side.
+                await self._request({"op": "get", "c": ""})
             return
-        if pending is None:
-            return
+        future = self._write_dirty(acked=acked)
         await self._writer.drain()
-        if acked:
-            counter, future = pending
-            reply = await future
-            self._note_value(counter, reply["v"])
+        if future is not None:
+            for counter, total in (await future)["f"]:
+                self._note_value(counter, total)
 
     def _write_dirty(self, *, acked: bool = False):
-        """Write one ``inc`` frame per dirty counter, all in one write.
+        """Write one ``inc`` frame carrying every dirty counter's floor.
 
-        Returns ``None`` when nothing was dirty, else ``(counter,
-        future)`` for the last frame; the future is the ack's when
-        ``acked`` and ``None`` otherwise.  Never blocks, so loop
-        callbacks can call it; the caller drains the writer if it can.
+        Returns the ack's future when ``acked``, else ``None``.  Never
+        blocks, so loop callbacks can call it; the caller drains the
+        writer if it can, and makes sure something is dirty.
         """
         self._dirty_event.clear()
-        if not self._dirty:
-            return None
-        dirty, self._dirty = self._dirty, set()
-        obs_on = _obs.enabled
-        frames = []
-        last = None
-        for counter in dirty:
-            frame = {"op": "inc", "c": counter, "s": self.source,
-                     "v": self._contrib[counter]}
-            # Riders are popped even with obs off so the tag list cannot
-            # accumulate across an enable/disable cycle.
-            riders = self._riders.pop(counter, None)
-            if obs_on:
-                frame["t"] = _obs.next_corr()
-                _obs.on_dist(self._obs_label, "frame_send", op="inc",
-                             corr=frame["t"], value=frame["v"])
-                if riders:
-                    for rider in riders:
-                        _obs.on_dist(self._obs_label, "frame_ride",
-                                     corr=rider, op=frame["t"])
-            frames.append(frame)
-            last = frame
-        if obs_on:
-            _obs.on_dist(self._obs_label, "batch_flush", count=len(frames),
-                         corr=last["t"])
+        contrib = self._contrib
+        frame = {"op": "inc", "s": self.source,
+                 "f": [[counter, contrib[counter]] for counter in self._dirty]}
+        self._dirty = set()
+        # Riders are taken even with obs off so the tag list cannot
+        # accumulate across an enable/disable cycle.
+        riders, self._riders = self._riders, []
+        if _obs.enabled:
+            corr = frame["t"] = _obs.next_corr()
+            label = self._obs_label
+            _obs.on_dist(label, "frame_send", op="inc", corr=corr,
+                         count=len(frame["f"]))
+            for rider in riders:
+                _obs.on_dist(label, "frame_ride", corr=rider, op=corr)
+            _obs.on_dist(label, "batch_flush", count=len(frame["f"]),
+                         corr=corr)
         future = None
         if acked:
-            last["id"] = next(self._ids)
+            frame["id"] = next(self._ids)
             future = asyncio.get_running_loop().create_future()
-            self._replies[last["id"]] = future
-        self._writer.write(b"".join(wire.encode(f) for f in frames))
-        self.frames_out += len(frames)
-        return last["c"], future
+            self._replies[frame["id"]] = future
+        self._writer.write(wire.encode(frame))
+        self.frames_out += 1
+        return future
 
-    def _absorb(self, pool: dict[str, int],
-                riders: dict[str, list[str]]) -> None:
+    def _absorb(self, pool: dict[str, int], riders: list[str]) -> None:
         """Add a thread-side pool to our contributions and riders."""
         contrib = self._contrib
         for counter, amount in pool.items():
             contrib[counter] = contrib.get(counter, 0) + amount
         self._dirty.update(pool)
-        for counter, corrs in riders.items():
-            self._riders.setdefault(counter, []).extend(corrs)
+        self._riders.extend(riders)
 
     # -------------------------------------------------------------- waiting
 
@@ -409,15 +402,19 @@ class AsyncCounterClient:
         self._subs.clear()
 
     async def close(self) -> None:
-        """Flush pending increments, then tear the connection down."""
+        """Flush pending increments, then tear the connection down.
+
+        The flush is acked even when nothing is pooled: a flusher or a
+        thread-side ship may have just written an unacked frame, and
+        close returns only once the service has applied it.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._dirty:
-            try:
-                await self._flush_now(acked=True)
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+        try:
+            await self._flush_now(acked=True)
+        except (ConnectionError, asyncio.CancelledError):
+            pass
         for task in (self._flusher_task, self._reader_task):
             if task is not None:
                 task.cancel()
@@ -574,14 +571,17 @@ class ServiceCounter:
 class _ThreadsideEndpoint:
     """A connection plus the daemon loop thread that drives it.
 
-    Thread-side increments pool here, one amount (and rider list) per
-    counter name under one lock.  The increment that finds the pool
-    unarmed wakes the loop once, to start a flush-window timer; every
-    other increment in that window is a dict write.  When the timer
-    fires, the loop moves the pool into the client and writes every
-    dirty counter's ``inc`` frame in one socket write.  ``flush``,
-    ``check`` and :meth:`close` drain the pool first, so nobody waits
-    out a window for their own increments and close loses none.
+    Thread-side increments pool here, one amount per counter name (and
+    one rider list) under one lock.  The increment that finds the pool
+    unarmed wakes the loop once, and the loop ships the pool at once:
+    the leading edge.  A ship that wrote anything chains the next one a
+    window later, and every increment until then is a dict write.  A
+    chained ship moves the pool into the client and writes one ``inc``
+    frame carrying every dirty floor, then chains again; one that finds
+    nothing to write disarms, under the pool lock, so the next increment
+    wakes the loop again.  ``flush``, ``check`` and :meth:`close` drain
+    the pool first, so nobody waits out a window for their own
+    increments and close loses none.
     """
 
     def __init__(self, client: AsyncCounterClient,
@@ -592,9 +592,9 @@ class _ThreadsideEndpoint:
         self._thread = thread
         self._handles: dict[ServiceCounter, None] = {}   # open handles
         self._pool_lock = threading.Lock()
-        self._pool: dict[str, int] = {}              # counter -> amount
-        self._pool_riders: dict[str, list[str]] = {}  # counter -> corrs
-        self._armed = False   # a window timer is scheduled or queued
+        self._pool: dict[str, int] = {}      # counter -> amount
+        self._pool_riders: list[str] = []    # request corrs
+        self._armed = False   # a ship is queued or chained
         self.closed = False
 
     @property
@@ -618,37 +618,40 @@ class _ThreadsideEndpoint:
             pool = self._pool
             pool[counter] = pool.get(counter, 0) + amount
             if corr is not None:
-                self._pool_riders.setdefault(counter, []).append(corr)
+                self._pool_riders.append(corr)
             if self._armed:
                 return
             self._armed = True
             # Inside the lock: close() cannot stop the loop in between.
-            self._loop.call_soon_threadsafe(self._arm)
-
-    def _arm(self) -> None:
-        self._loop.call_later(self._client.flush_interval, self._ship)
+            self._loop.call_soon_threadsafe(self._ship)
 
     def _ship(self) -> None:
-        """The window's end (loop thread): drain, then one write."""
-        self._drain(disarm=True)
-        self._client._write_dirty()
+        """Ship the pool in one frame and chain the next window (loop
+        thread), or disarm when there is nothing to write."""
+        client = self._client
+        with self._pool_lock:
+            self._drain()
+            if not client._dirty:
+                self._armed = False
+                return
+        client._write_dirty()
+        self._loop.call_later(client.flush_interval, self._ship)
 
-    def _drain(self, *, disarm: bool = False) -> None:
+    def _drain(self) -> None:
         """Move the pool into the client (loop thread).
 
-        Under the pool lock, so a reader of :meth:`_contribution` never
-        sees an amount in both places or in neither.
+        The caller holds the pool lock, so a reader of
+        :meth:`_contribution` never sees an amount in both places or in
+        neither.
         """
-        with self._pool_lock:
-            if disarm:
-                self._armed = False
-            if self._pool:
-                self._client._absorb(self._pool, self._pool_riders)
-                self._pool = {}
-                self._pool_riders = {}
+        if self._pool:
+            self._client._absorb(self._pool, self._pool_riders)
+            self._pool = {}
+            self._pool_riders = []
 
     async def _drained(self, coro):
-        self._drain()
+        with self._pool_lock:
+            self._drain()
         return await coro
 
     def _contribution(self, counter: str) -> int:
@@ -704,6 +707,9 @@ def open_threadside(host: str, port: int, *, source: str | None = None,
     ``counter(name)`` hands out thread-safe :class:`ServiceCounter`
     handles.  The thread exists because the caller has none of its own
     loop — purely synchronous programs get service counters this way.
+    ``flush_interval`` is the chained window: under steady traffic the
+    endpoint ships one frame per window, so a remote waiter may see a
+    floor up to that late (50 ms by default).
     """
     loop = asyncio.new_event_loop()
     started = threading.Event()

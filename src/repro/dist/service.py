@@ -6,10 +6,12 @@ per published counter name and speaks the newline-JSON protocol of
 :mod:`repro.dist.wire`:
 
 * ``inc`` frames are *merges*, not additions: the client ships its
-  source's absolute contribution and the server applies max.  That is
-  what makes client-side pipelining free — a 1ms flush window worth of
-  increments is one frame — and what makes the protocol safe under
-  retransmission and reordering.
+  source's absolute contribution to each counter (``f``, a list of
+  ``[counter, floor]`` pairs) and the server applies max to each in
+  turn.  That is what makes client-side pipelining free — a flush
+  window worth of increments, on any number of counters, is one
+  frame — and what makes the protocol safe under retransmission and
+  reordering.
 * ``sub`` frames register a level subscription, served by the PR-2
   ``subscribe()`` hook on the counter's wait mirror: when an increment
   (from any connection, or an anti-entropy merge) first reaches the
@@ -182,9 +184,13 @@ class CounterService:
                 try:
                     frame = wire.decode(line)
                     self._dispatch(frame, writer)
-                except ValueError as exc:
-                    log.warning("%s: bad frame from %s: %s", self.node_id, peer, exc)
-                    writer.write(wire.encode({"op": "error", "msg": str(exc)}))
+                except (KeyError, TypeError, ValueError) as exc:
+                    # A missing field or a mis-shaped one (an ``inc``
+                    # in another shape) is a bad frame, not a dropped
+                    # connection.
+                    msg = f"{type(exc).__name__}: {exc}"
+                    log.warning("%s: bad frame from %s: %s", self.node_id, peer, msg)
+                    writer.write(wire.encode({"op": "error", "msg": msg}))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError, ValueError) as exc:
             log.debug("%s: connection %s dropped: %s", self.node_id, peer, exc)
@@ -220,12 +226,13 @@ class CounterService:
             prev_ctx = _obs.set_wire_context(_obs.WireContext(corr))
         try:
             if op == "inc":
-                total = self.counter(frame["c"]).raise_source(
-                    str(frame["s"]), int(frame["v"])
-                )
+                source = str(frame["s"])
+                counter = self.counter
+                totals = [[name, counter(name).raise_source(source, int(floor))]
+                          for name, floor in frame["f"]]
                 if frame.get("id") is not None:
-                    self._send(writer, {"op": "ack", "id": frame["id"], "v": total},
-                               corr)
+                    self._send(writer, {"op": "ack", "id": frame["id"],
+                                        "f": totals}, corr)
             elif op == "sub":
                 self._subscribe(frame, writer, corr)
             elif op == "unsub":

@@ -1,25 +1,25 @@
 """Wire format of the counter service: newline-delimited JSON frames.
 
 One frame per line, UTF-8 JSON with compact separators and short keys
-(``op``/``c``/``s``/``v``/``l``/``id``).  Chosen over a binary framing
+(``op``/``c``/``s``/``f``/``v``/``l``/``id``).  Chosen over a binary framing
 deliberately: the service's throughput story is *pipelining* — a flush
-window coalesces any number of increments per (counter, source) into
-one absolute-value frame, because merge is max-per-source and absolute
-floors are idempotent — so frames are rare relative to operations and
-debuggability wins.  Every frame type is monotone-safe to duplicate,
+window coalesces any number of increments, on any number of counters,
+into one ``inc`` frame of absolute floors, because merge is
+max-per-source and absolute floors are idempotent — so frames are rare
+relative to operations and debuggability wins.  Every frame type is monotone-safe to duplicate,
 reorder, or drop-and-resend:
 
 ============= ======================================== ==================
 op             fields                                   direction
 ============= ======================================== ==================
-inc            c, s, v (absolute contribution), id?     client -> server
+inc            s, f=[[c, floor], ...], id?              client -> server
 sub            c, l, id                                 client -> server
 unsub          id                                       client -> server
 get            c, id                                    client -> server
 sync           counters={c: {s: v}}, id?                peer -> peer
 fetch_trace    id                                       client -> server
 fetch_metrics  id                                       client -> server
-ack            id, v (new total)                        server -> client
+ack            id, f=[[c, total], ...]                  server -> client
 value          id, c, v                                 server -> client
 reached        id, c, l, v                              server -> client
 sync_reply     id, counters                             peer -> peer
@@ -35,9 +35,11 @@ the trace events the frame causes.  ``t`` appears only while tracing is
 enabled on the sending side — the disabled wire path is byte-identical
 to pre-v3 — and is opaque: a receiver must treat it as a string.
 
-``inc`` carries the source's *absolute* contribution, never a delta:
-the server applies ``max(current, v)``, so retransmits and reordered
-flushes cannot double-count.  ``sync`` carries full per-source digests;
+``inc`` carries the source's *absolute* contribution to each listed
+counter, never a delta: the server applies ``max(current, floor)`` to
+each in turn, so retransmits and reordered flushes cannot double-count.
+A single counter is a list of one.  Only an ``inc`` with an ``id`` is
+answered, by an ``ack`` listing each counter's new total.  ``sync`` carries full per-source digests;
 a two-leg exchange (sync -> sync_reply, each side merging) makes both
 replicas' digests identical — the anti-entropy round.
 

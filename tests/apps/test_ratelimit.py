@@ -290,6 +290,27 @@ class TestLru:
         clock.now = 1.05
         assert limiter.try_acquire("a")  # the t=0 admits have aged out
 
+    def test_evicted_key_reads_its_residue(self):
+        clock = fixed_clock()
+        limiter = RateLimiter(1, 1.0, max_keys=1, clock=clock)
+        assert limiter.try_acquire("a")
+        clock.now = 0.1
+        assert limiter.try_acquire("b")  # evicts "a" with one live admit
+        assert limiter.keys() == ["b"]
+        assert limiter.in_window("a") == 1
+        assert limiter.snapshot()["a"] == {
+            "admitted": 1, "retired": 0, "in_window": 1, "marks": 1,
+            "pins": 0, "evicted": True}
+        # Reading rolled a copy: the stored window, and so the decision
+        # the key comes back to, are unchanged.
+        assert limiter.in_window("a") == 1
+        assert not limiter.try_acquire("a")
+        assert "evicted" not in limiter.snapshot()["a"]
+        assert limiter.in_window("b") == 1  # evicted by "a" in turn
+        clock.now = 1.15  # b's t=0.1 admit has aged out of its residue
+        assert limiter.in_window("b") == 0
+        assert "b" not in limiter.snapshot()
+
     def test_roll_holding_an_evicted_entry_leaves_its_window_alone(self):
         # roll() lists the live entries, and before it reaches "a" an
         # eviction stores a's window.  The roll then runs on the dead

@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import pytest
+
 from repro.apps.ratelimit import RateLimiter, ServiceBackend, serve_rolls
 from repro.dist import CounterService, GCounter, open_threadside
 from repro.testkit import run_script, run_thread, until
@@ -105,6 +107,36 @@ class TestServiceBackend:
                 admitted.flush()
                 assert admitted.value_rpc() == 1
                 limiter.close()
+        finally:
+            stop()
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: pooled inc frames are never acked, so a "
+        "ServiceBackend never sees another client's admits and a second "
+        "client admits a full limit of its own"))
+    def test_second_client_cannot_admit_past_the_limit(self):
+        """Two clients share one key's quota.  Client A's admits have
+        reached the service before client B decides, so B must reject;
+        today B admits its own 3 and the service holds 6 for a limit
+        of 3."""
+        address, stop = _start_service()
+        try:
+            with open_threadside(*address, source="a") as one, \
+                    open_threadside(*address, source="b") as two:
+                first = RateLimiter(3, 60.0, name="rl",
+                                    backend=ServiceBackend(one))
+                second = RateLimiter(3, 60.0, name="rl",
+                                     backend=ServiceBackend(two))
+                try:
+                    assert [first.try_acquire("k") for _ in range(3)] == [True] * 3
+                    shared = one.counter("rl:k:admitted")
+                    shared.flush()
+                    assert shared.value_rpc() == 3
+                    assert [second.try_acquire("k") for _ in range(3)] == [False] * 3
+                finally:
+                    first.close()
+                    second.close()
         finally:
             stop()
 

@@ -80,7 +80,7 @@ class TestIncrementRiders:
         assert riders["first"] != riders["second"]  # two distinct frames
 
     def test_disabled_obs_never_accumulates_riders(self):
-        # The riders map is popped unconditionally on flush: toggling
+        # The rider list is taken unconditionally on flush: toggling
         # obs off must not leak tokens that were queued while off.
         client_box = {}
 
@@ -92,12 +92,12 @@ class TestIncrementRiders:
                 try:
                     client.increment("orders", 1, corr="ghost")
                     await client.flush()
-                    client_box["riders"] = dict(client._riders)
+                    client_box["riders"] = list(client._riders)
                 finally:
                     await client.close()
 
         run(scenario())
-        assert client_box["riders"] == {}
+        assert client_box["riders"] == []
 
     def test_frame_riders_keeps_the_first_frame(self):
         # A retried rider (same corr on two frames) attributes to the

@@ -22,6 +22,7 @@ from repro.dist import (
     GCounter,
     digests_equal,
     open_threadside,
+    wire,
 )
 from tests.helpers import join_all, spawn, wait_until
 
@@ -97,19 +98,92 @@ class TestServiceBasics:
 
         run(scenario())
 
+    @staticmethod
+    async def error_then_serves(bad: bytes) -> None:
+        async with CounterService() as service:
+            reader, writer = await asyncio.open_connection(*service.address)
+            writer.write(bad + b"\n")
+            await writer.drain()
+            line = await reader.readline()
+            assert b'"error"' in line
+            # Connection still serves afterwards.
+            writer.write(b'{"op":"get","c":"x","id":1}\n')
+            await writer.drain()
+            line = await reader.readline()
+            assert b'"value"' in line
+            writer.close()
+            await writer.wait_closed()
+
     def test_bad_frame_gets_error_not_disconnect(self):
+        run(self.error_then_serves(b'{"op":"???"}'))
+
+    @pytest.mark.parametrize("bad", [
+        b'{"op":"inc","c":"x","s":"a","v":1}',   # no f: another shape
+        b'{"op":"inc","s":"a","f":[["x"]]}',     # a floor without a value
+        b'{"op":"inc","s":"a","f":7}',
+    ])
+    def test_mis_shaped_inc_gets_error_not_disconnect(self, bad):
+        run(self.error_then_serves(bad))
+
+
+class TestIncFrame:
+    """One ``inc`` frame carries any number of floors, on the raw wire."""
+
+    @staticmethod
+    async def ask(reader, writer, frame: dict) -> dict:
+        writer.write(wire.encode(frame))
+        await writer.drain()
+        return wire.decode(await reader.readline())
+
+    def test_one_inc_raises_every_floor_it_carries(self):
         async def scenario():
             async with CounterService() as service:
                 reader, writer = await asyncio.open_connection(*service.address)
-                writer.write(b'{"op":"???"}\n')
-                await writer.drain()
-                line = await reader.readline()
-                assert b'"error"' in line
-                # Connection still serves afterwards.
-                writer.write(b'{"op":"get","c":"x","id":1}\n')
-                await writer.drain()
-                line = await reader.readline()
-                assert b'"value"' in line
+                writer.write(wire.encode(
+                    {"op": "inc", "s": "a", "f": [["x", 1], ["y", 2], ["z", 3]]}
+                ))
+                # An unacked inc is answered by nothing: the next line
+                # read is the barrier's reply.
+                reply = await self.ask(reader, writer,
+                                       {"op": "get", "c": "z", "id": 1})
+                assert (reply["op"], reply["v"]) == ("value", 3)
+                assert {n: service.counter(n).value for n in "xyz"} == {
+                    "x": 1, "y": 2, "z": 3}
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    def test_acked_inc_returns_every_total(self):
+        async def scenario():
+            async with CounterService() as service:
+                service.counter("y").raise_source("b", 10)  # another source
+                reader, writer = await asyncio.open_connection(*service.address)
+                reply = await self.ask(reader, writer, {
+                    "op": "inc", "s": "a", "id": 7,
+                    "f": [["x", 1], ["y", 2], ["z", 3]],
+                })
+                assert reply == {"op": "ack", "id": 7,
+                                 "f": [["x", 1], ["y", 12], ["z", 3]]}
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    def test_replayed_or_older_frames_change_nothing(self):
+        async def scenario():
+            async with CounterService() as service:
+                reader, writer = await asyncio.open_connection(*service.address)
+                newer = {"op": "inc", "s": "a", "id": 1,
+                         "f": [["x", 4], ["y", 5], ["z", 6]]}
+                older = {"op": "inc", "s": "a", "id": 2,
+                         "f": [["x", 1], ["y", 2], ["z", 3]]}
+                totals = [["x", 4], ["y", 5], ["z", 6]]
+                assert (await self.ask(reader, writer, newer))["f"] == totals
+                assert (await self.ask(reader, writer, newer))["f"] == totals
+                assert (await self.ask(reader, writer, older))["f"] == totals
+                assert {n: service.counter(n).digest() for n in "xyz"} == {
+                    "x": {"a": 4}, "y": {"a": 5}, "z": {"a": 6}}
                 writer.close()
                 await writer.wait_closed()
 

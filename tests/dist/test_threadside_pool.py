@@ -1,10 +1,11 @@
 """The thread-side increment pool of ``open_threadside`` endpoints.
 
 ``ServiceCounter.increment`` adds to a per-counter pool in the endpoint;
-only the increment that arms an empty window wakes the connection's
-loop, and the loop ships the whole pool once per window in one socket
-write.  ``flush``, ``check`` and ``close`` drain the pool first, and a
-closed handle or endpoint refuses every call that would need the loop.
+only the increment that finds the pool unarmed wakes the connection's
+loop, which ships the pool at once and then once per chained window, in
+one ``inc`` frame per socket write, until a window finds it empty.
+``flush``, ``check`` and ``close`` drain the pool first, and a closed
+handle or endpoint refuses every call that would need the loop.
 
 The service runs in this process on a private daemon loop, so the tests
 read its totals directly; everything is bounded by timeouts.
@@ -19,7 +20,7 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.dist import CounterService, open_threadside
+from repro.dist import CounterService, open_threadside, wire
 from repro.obs.collect import frame_riders
 from tests.helpers import join_all, spawn, wait_until
 
@@ -57,6 +58,25 @@ def _obs_clean_slate():
 
 def served(service, name: str) -> int:
     return service.counter(name).value
+
+
+def spy_wakes_and_writes(endpoint, monkeypatch):
+    """Record the endpoint loop's thread wakes and its socket writes."""
+    wakes, writes = [], []
+    loop, writer = endpoint._loop, endpoint.client._writer
+    call_soon_threadsafe, write = loop.call_soon_threadsafe, writer.write
+
+    def spy_wake(*args, **kwargs):
+        wakes.append(args)
+        return call_soon_threadsafe(*args, **kwargs)
+
+    def spy_write(data):
+        writes.append(data)
+        return write(data)
+
+    monkeypatch.setattr(loop, "call_soon_threadsafe", spy_wake)
+    monkeypatch.setattr(writer, "write", spy_write)
+    return wakes, writes
 
 
 class TestPool:
@@ -104,53 +124,114 @@ class TestPool:
         with open_threadside(*service.address, source="t",
                              flush_interval=60.0) as endpoint:
             a, b = endpoint.counter("a"), endpoint.counter("b")
+            a.increment(1)  # the leading edge ships this one at once
+            wait_until(lambda: served(service, "a") == 1, timeout=10)
             for i in range(3):
                 a.increment(1, corr=f"a{i}")
             b.increment(5, corr="b0")
             b.increment(5)  # anonymous: no rider
             b.increment(5, corr="b1")
             a.flush()
+            assert (served(service, "a"), served(service, "b")) == (4, 15)
         events = handle.trace.snapshot()
         obs.disable()
-        sends = {e.corr: e.value for e in events
+        sends = {e.corr: e for e in events
                  if e.kind == "frame_send" and e.op == "inc"}
         riders = frame_riders(events)
         assert set(riders) == {"a0", "a1", "a2", "b0", "b1"}
-        # Each counter's riders share one frame, and that frame carried
-        # the counter's floor (3 for a, 15 for b).
-        assert {sends[riders[f"a{i}"]] for i in range(3)} == {3}
-        assert {sends[riders[c]] for c in ("b0", "b1")} == {15}
+        # Every rider, on both counters, rode the flush's one frame, and
+        # that frame carried both counters' floors.
+        (frame,) = set(riders.values())
+        assert sends[frame].count == 2
+        assert sends[frame].value is None
 
     def test_one_wake_and_one_write_per_window(self, service, monkeypatch):
         k = 100
         with open_threadside(*service.address, source="t",
-                             flush_interval=2.0) as endpoint:
+                             flush_interval=0.5) as endpoint:
             counters = [endpoint.counter(f"w{i}") for i in range(4)]
-            wakes, writes = [], []
-            loop, writer = endpoint._loop, endpoint.client._writer
-            call_soon_threadsafe, write = loop.call_soon_threadsafe, writer.write
-
-            def spy_wake(*args, **kwargs):
-                wakes.append(args)
-                return call_soon_threadsafe(*args, **kwargs)
-
-            def spy_write(data):
-                writes.append(data)
-                return write(data)
-
-            monkeypatch.setattr(loop, "call_soon_threadsafe", spy_wake)
-            monkeypatch.setattr(writer, "write", spy_write)
+            wakes, writes = spy_wakes_and_writes(endpoint, monkeypatch)
             for i in range(k):
                 counters[i % 4].increment()
             assert len(wakes) == 1
             wait_until(lambda: [served(service, f"w{i}") for i in range(4)]
                        == [k // 4] * 4, timeout=10)
-            assert len(writes) == 1
-            assert writes[0].count(b"\n") == 4  # one inc frame per counter
-            # The next increment arms the next window.
-            counters[0].increment()
-            assert len(wakes) == 2
+            # The leading edge, then at most one chained window: each
+            # write is one inc frame, whatever the counter count.
+            frames = [wire.decode(data) for data in writes]
+            assert 1 <= len(frames) <= 2
+            assert all(data.count(b"\n") == 1 for data in writes)
+            assert all(f["op"] == "inc" and f["s"] == "t" for f in frames)
+            assert {c: floor for f in frames for c, floor in f["f"]} == {
+                f"w{i}": k // 4 for i in range(4)}
             monkeypatch.undo()
+
+
+class TestWindow:
+    def test_leading_edge_ships_a_lone_increment_at_once(self, service):
+        with open_threadside(*service.address, source="t",
+                             flush_interval=60.0) as endpoint:
+            counter = endpoint.counter("lone")
+            start = time.monotonic()
+            counter.increment(2)
+            wait_until(lambda: served(service, "lone") == 2, timeout=10)
+            assert time.monotonic() - start < 1.0  # the window is 60 s
+
+    def test_chained_windows_wake_the_loop_once(self, service, monkeypatch):
+        window = 0.2
+        with open_threadside(*service.address, source="t",
+                             flush_interval=window) as endpoint:
+            counters = [endpoint.counter(f"c{i}") for i in range(3)]
+            wakes, writes = spy_wakes_and_writes(endpoint, monkeypatch)
+            n = 0
+            end = time.monotonic() + 3.5 * window
+            while time.monotonic() < end:  # traffic in every window
+                counters[n % 3].increment()
+                n += 1
+                time.sleep(0.005)
+            wait_until(lambda: sum(served(service, f"c{i}")
+                                   for i in range(3)) == n, timeout=10)
+            assert len(wakes) == 1  # only the leading edge woke the loop
+            assert len(writes) >= 4  # the leading edge and three windows
+            assert all(data.count(b"\n") == 1 for data in writes)
+            monkeypatch.undo()
+
+    def test_an_empty_window_disarms_and_the_next_increment_wakes(
+            self, service, monkeypatch):
+        with open_threadside(*service.address, source="t",
+                             flush_interval=0.1) as endpoint:
+            counter = endpoint.counter("idle")
+            wakes, writes = spy_wakes_and_writes(endpoint, monkeypatch)
+            counter.increment()
+            wait_until(lambda: served(service, "idle") == 1, timeout=10)
+            # The chained window finds the pool empty and disarms.
+            wait_until(lambda: not endpoint._armed, timeout=10)
+            assert len(wakes) == 1
+            counter.increment()
+            assert len(wakes) == 2
+            wait_until(lambda: served(service, "idle") == 2, timeout=10)
+            assert len(writes) == 2
+            monkeypatch.undo()
+
+    def test_riders_on_several_counters_ride_one_window_frame(self, service):
+        handle = obs.enable()
+        with open_threadside(*service.address, source="t",
+                             flush_interval=0.3) as endpoint:
+            counters = [endpoint.counter(f"r{i}") for i in range(3)]
+            counters[0].increment()  # the leading edge, then the window
+            wait_until(lambda: served(service, "r0") == 1, timeout=10)
+            for i, counter in enumerate(counters):
+                counter.increment(corr=f"req{i}")
+            wait_until(lambda: [served(service, f"r{i}") for i in range(3)]
+                       == [2, 1, 1], timeout=10)
+        events = handle.trace.snapshot()
+        obs.disable()
+        riders = frame_riders(events)
+        assert set(riders) == {"req0", "req1", "req2"}
+        (frame,) = set(riders.values())
+        send = next(e for e in events if e.kind == "frame_send"
+                    and e.op == "inc" and e.corr == frame)
+        assert send.count == 3
 
 
 class TestClosed:
