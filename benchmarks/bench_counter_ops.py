@@ -18,15 +18,19 @@ Regenerates:
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.bench import Table, measure, spread_waiters
 from repro.core import BroadcastCounter, MonotonicCounter
+from repro.obs import observe
 
 FACTORIES = {
-    "linked": lambda: MonotonicCounter(strategy="linked", stats=True),
-    "heap": lambda: MonotonicCounter(strategy="heap", stats=True),
-    "broadcast": lambda: BroadcastCounter(stats=True),
+    "linked": lambda: MonotonicCounter(strategy="linked"),
+    "heap": lambda: MonotonicCounter(strategy="heap"),
+    "broadcast": lambda: BroadcastCounter(),
 }
 
 
@@ -37,7 +41,7 @@ def test_e8_storage_proportional_to_levels(benchmark, show):
         caption="storage tracks L, not W (§7)",
     )
     for waiters, levels in ((16, 1), (16, 4), (64, 4), (64, 16), (128, 8), (128, 64)):
-        counter = MonotonicCounter(stats=True)
+        counter = MonotonicCounter()
         result = spread_waiters(counter, waiters=waiters, levels=levels)
         table.add_row(waiters, levels, result.max_live_levels, result.max_live_waiters)
         assert result.max_live_levels <= levels
@@ -74,23 +78,62 @@ def test_e8_release_cost_by_strategy(benchmark, show, strategy):
     )
 
 
+def _stepped_wakeups(counter, series, *, waiters: int, levels: int) -> int:
+    """Park ``waiters`` threads over ``levels`` levels, raise the counter
+    one level at a time, and let every woken thread resume or re-park
+    before the next step; return the wakeups ``series`` counted.
+
+    Settled means the obs series shows exactly the still-unsatisfied
+    waiters parked, unchanged over one poll interval — so a step's
+    wakeups are not folded into the next step's.
+    """
+
+    def settle(parked: int) -> None:
+        last = None
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            now = (series.parks, series.unparks)
+            if now == last and now[0] - now[1] == parked:
+                return
+            last = now
+            time.sleep(0.002)
+
+    wanted = [(w % levels) + 1 for w in range(waiters)]
+    threads = [threading.Thread(target=counter.check, args=(level,)) for level in wanted]
+    for thread in threads:
+        thread.start()
+    settle(waiters)
+    for step in range(1, levels + 1):
+        counter.increment(1)
+        settle(sum(1 for level in wanted if level > step))
+    for thread in threads:
+        thread.join()
+    return series.unparks
+
+
 def test_e8_wakeups_linked_vs_broadcast(benchmark, show):
     """The structural count behind E8b: spurious wakeups per run.  The
     §7 implementation wakes each thread exactly once; the naive
-    single-queue counter re-wakes every parked thread on every increment."""
+    single-queue counter wakes every still-waiting thread on every
+    increment."""
     table = Table(
         "E8c: threads woken during a stepped release (32 waiters)",
         ["levels", "linked wakeups", "broadcast wakeups"],
-        caption="counted by the implementations' own stats; linked == waiters exactly",
+        caption="obs unparks per implementation; linked == waiters exactly",
     )
     for levels in (1, 8, 32):
-        linked = MonotonicCounter(stats=True)
-        spread_waiters(linked, waiters=32, levels=levels, increment_steps=levels)
-        naive = BroadcastCounter(stats=True)
-        spread_waiters(naive, waiters=32, levels=levels, increment_steps=levels)
-        table.add_row(levels, linked.stats.threads_woken, naive.stats.threads_woken)
-        assert linked.stats.threads_woken == 32
-        assert naive.stats.threads_woken >= linked.stats.threads_woken
+        with observe(trace=False) as handle:
+            linked_woken = _stepped_wakeups(
+                MonotonicCounter(name="linked"), handle.metrics.series("linked"),
+                waiters=32, levels=levels,
+            )
+            naive_woken = _stepped_wakeups(
+                BroadcastCounter(name="broadcast"), handle.metrics.series("broadcast"),
+                waiters=32, levels=levels,
+            )
+        table.add_row(levels, linked_woken, naive_woken)
+        assert linked_woken == 32
+        assert naive_woken >= linked_woken
     show(table)
     benchmark(lambda: spread_waiters(MonotonicCounter(), waiters=32, levels=32, increment_steps=32))
 

@@ -27,6 +27,7 @@ from repro.apps.floyd_warshall import (
 from repro.apps.graphs import random_dense_graph
 from repro.apps.sim_models import sim_floyd_warshall
 from repro.bench import Table
+from repro.obs import observe
 
 VARIANTS = ("barrier", "events", "counter")
 
@@ -67,10 +68,11 @@ def test_e3_sync_object_count(benchmark, show):
         caption="'the number of these objects in existence at any given time is likely to be much less than N' (§4.5)",
     )
     for n in (32, 64, 128):
-        counter = MonotonicCounter(name="kCount", stats=True)
+        counter = MonotonicCounter(name="kCount")
         edge = random_dense_graph(n, seed=1)
-        shortest_paths_counter(edge, 4, counter=counter)
-        table.add_row(n, n, 1, counter.stats.max_live_levels)
+        with observe(trace=False) as handle:
+            shortest_paths_counter(edge, 4, counter=counter)
+        table.add_row(n, n, 1, handle.metrics.series("kCount").live_levels_hw)
     show(table)
     edge = random_dense_graph(64, seed=1)
     benchmark(lambda: shortest_paths_counter(edge, 4))

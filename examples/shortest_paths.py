@@ -22,6 +22,7 @@ from repro.apps.floyd_warshall import (
 from repro.apps.graphs import random_dense_graph
 from repro.apps.sim_models import sim_floyd_warshall
 from repro.core import MonotonicCounter
+from repro.obs import observe
 
 
 def show_matrix(name: str, matrix: np.ndarray) -> None:
@@ -52,15 +53,17 @@ def one_counter_replaces_n_events() -> None:
     print("== §4.5: one counter instead of N condition variables ==")
     n = 64
     edge = random_dense_graph(n, seed=7)
-    counter = MonotonicCounter(name="kCount", stats=True)
-    result = shortest_paths_counter(edge, num_threads=4, counter=counter)
+    counter = MonotonicCounter(name="kCount")
+    with observe(trace=False) as handle:
+        result = shortest_paths_counter(edge, num_threads=4, counter=counter)
+    live_levels = handle.metrics.series("kCount").live_levels_hw
     reference = shortest_paths_sequential(edge)
     assert np.allclose(result, reference)
     print(f"graph: {n} vertices, 4 threads")
     print(f"event-array version would allocate: {n} synchronization objects")
     print("counter version allocated:          1 counter")
     print(
-        f"max simultaneously live wait levels: {counter.stats.max_live_levels} "
+        f"max simultaneously live wait levels: {live_levels} "
         f"(‘likely to be much less than N’ — §4.5)"
     )
     print()

@@ -33,8 +33,12 @@ from typing import Callable
 
 from repro.core.errors import CheckTimeout, CounterOverflowError, ResetConcurrencyError
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
-from repro.core.stats import NOOP_STATS, CounterStats
-from repro.core.validation import validate_amount, validate_level, validate_timeout
+from repro.core.validation import (
+    validate_amount,
+    validate_level,
+    validate_max_value,
+    validate_timeout,
+)
 from repro.obs import hooks as _obs
 from repro.obs import registry as _obs_registry
 from repro.obs.events import next_token as _next_token
@@ -113,24 +117,19 @@ class AsyncCounter:
     2
     """
 
-    __slots__ = ("_value", "_levels", "_max_value", "_name", "_stats_on",
-                 "_obs_label", "_obs_chan", "stats", "__weakref__")
+    __slots__ = ("_value", "_levels", "_max_value", "_name",
+                 "_obs_label", "_obs_chan", "__weakref__")
 
     def __init__(
         self,
         *,
         max_value: int | None = None,
         name: str | None = None,
-        stats: bool = False,
     ) -> None:
-        if max_value is not None and (not isinstance(max_value, int) or max_value < 0):
-            raise ValueError(f"max_value must be a nonnegative int or None, got {max_value!r}")
         self._value = 0
         self._levels: dict[int, _Level] = {}
-        self._max_value = max_value
+        self._max_value = validate_max_value(max_value)
         self._name = name
-        self._stats_on = bool(stats)
-        self.stats = CounterStats() if stats else NOOP_STATS
         _obs_registry.register(self)
 
     @property
@@ -151,17 +150,11 @@ class AsyncCounter:
                 f"{self!r}: increment({amount}) would exceed max_value={self._max_value}"
             )
         self._value = new_value
-        if self._stats_on:
-            self.stats.increments += 1
         nodes = None
         if amount and self._levels:
             satisfied = [lv for lv in self._levels if lv <= new_value]
             if satisfied:
                 nodes = [self._levels.pop(lv) for lv in satisfied]
-                if self._stats_on:
-                    for node in nodes:
-                        self.stats.nodes_released += 1
-                        self.stats.threads_woken += node.count
         if nodes:
             # Stamps released_ts before any event is set, so woken
             # coroutines can report release-to-resume latency.
@@ -187,21 +180,12 @@ class AsyncCounter:
         level = validate_level(level)
         timeout = validate_timeout(timeout)
         if self._value >= level:
-            if self._stats_on:
-                self.stats.immediate_checks += 1
             return
         node = self._levels.get(level)
         if node is None:
             node = _Level(level)
             self._levels[level] = node
-            if self._stats_on:
-                self.stats.nodes_created += 1
         node.count += 1
-        if self._stats_on:
-            self.stats.suspended_checks += 1
-            self.stats.note_levels(
-                len(self._levels), sum(n.count for n in self._levels.values())
-            )
         t_parked: float | None = None
         if _obs.enabled:
             t_parked = _obs.on_park(
@@ -222,8 +206,6 @@ class AsyncCounter:
                     await asyncio.wait_for(node.event.wait(), timeout)
                 except asyncio.TimeoutError:
                     if not node.event.is_set():
-                        if self._stats_on:
-                            self.stats.timeouts += 1
                         if _obs.enabled:
                             _obs.on_timeout(self, level, self._value, t_parked,
                                             token=node.token)
@@ -261,8 +243,6 @@ class AsyncCounter:
         if node is None:
             node = _Level(level)
             self._levels[level] = node
-            if self._stats_on:
-                self.stats.nodes_created += 1
         if node.subscribers is None:
             node.subscribers = []
         node.subscribers.append(callback)

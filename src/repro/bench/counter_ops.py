@@ -6,7 +6,7 @@ repo root in CI) so successive PRs accumulate a recorded perf trajectory:
 
 * ``immediate_check`` — ``check(level)`` with ``level`` already reached:
   the lock-free fast path, against the pre-optimization locked
-  configuration (``fast_path=False, stats=True`` — the seed behavior) and
+  configuration (``fast_path=False`` — every check through the lock) and
   every other implementation.
 * ``uncontended_increment`` — single-thread ``increment(1)`` throughput
   (no waiters: the release-scan-skipping fast path).
@@ -55,12 +55,12 @@ from repro.core import BroadcastCounter, MonotonicCounter, MultiWait
 __all__ = ["run_counter_ops", "render", "main"]
 
 #: The counter configurations every series is run against.  ``linked`` is
-#: the optimized default; ``linked_locked`` reproduces the seed's behavior
-#: (every check through the lock, stats bookkeeping always on) so the
-#: fast-path speedup is measured on the same machine in the same run.
+#: the optimized default; ``linked_locked`` sends every check through the
+#: lock (``fast_path=False``) so the fast-path speedup is measured on the
+#: same machine in the same run.
 FACTORIES: dict[str, Callable[[], object]] = {
     "linked": lambda: MonotonicCounter(strategy="linked"),
-    "linked_locked": lambda: MonotonicCounter(strategy="linked", fast_path=False, stats=True),
+    "linked_locked": lambda: MonotonicCounter(strategy="linked", fast_path=False),
     "heap": lambda: MonotonicCounter(strategy="heap"),
     "broadcast": lambda: BroadcastCounter(),
 }

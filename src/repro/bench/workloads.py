@@ -4,7 +4,8 @@ Section 7 claims storage and per-op cost proportional to the number of
 *distinct waiting levels* L, not the number of waiting threads W.  These
 helpers arrange W real threads over L distinct levels against any counter
 implementation, releasing them with one sweep of increments, and report
-the counter's own high-water statistics for verification.
+the live levels and waiters the counter's snapshot showed once they had
+all suspended.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ def spread_waiters(
     which immediately re-parks at the next episode's levels.  With
     ``episodes > 1`` the thread-spawn cost (which dominates a single
     park/release cycle wall-clock) is amortized, so the measurement
-    isolates the park → release → wake path itself.  Returns the
-    counter's high-water level/waiter statistics when the implementation
-    exposes them (zeros otherwise).
+    isolates the park → release → wake path itself.  Returns the most
+    levels and waiters the settled ``snapshot()`` showed still waiting
+    across the episodes (zeros for an implementation without snapshots).
     """
     if waiters < 1 or levels < 1 or levels > waiters:
         raise ValueError(f"need waiters >= levels >= 1, got {waiters}, {levels}")
@@ -68,38 +69,40 @@ def spread_waiters(
     threads = [threading.Thread(target=wait, args=(w,)) for w in range(waiters)]
     for thread in threads:
         thread.start()
+    snapshot_of = getattr(counter, "snapshot", None)
+    max_levels = max_waiters = 0
     for episode in range(episodes):
         for _ in range(waiters):
             parked.acquire()
         # Parked means "about to check"; give the checks a moment to
         # suspend.  Correctness does not depend on this (checks of
         # already-passed levels return immediately); only the high-water
-        # stats — and the fairness of measuring the *wakeup* path rather
+        # marks — and the fairness of measuring the *wakeup* path rather
         # than fast-path returns — do.
         settle = 2.0 if timeout is None else min(timeout, 2.0)
         settle_deadline = time.monotonic() + settle
-        while (
-            _suspended_below(counter) < waiters
-            and time.monotonic() < settle_deadline
-        ):
+        while snapshot_of is not None:
+            snapshot = snapshot_of()
+            if (
+                snapshot.total_waiters >= waiters
+                or time.monotonic() >= settle_deadline
+            ):
+                # Nodes already set by the previous episode's release
+                # are draining, not waiting: only unset ones count.
+                waiting = [node for node in snapshot.nodes if not node.signaled]
+                max_levels = max(max_levels, len(waiting))
+                max_waiters = max(max_waiters, sum(node.count for node in waiting))
+                break
             time.sleep(0)
         base, remainder = divmod(levels, increment_steps)
         for step in range(increment_steps):
             counter.increment(base + (1 if step < remainder else 0))
     for thread in threads:
         thread.join()
-    stats = getattr(counter, "stats", None)
     return SpreadResult(
         waiters=waiters,
         levels=levels,
         episodes=episodes,
-        max_live_levels=getattr(stats, "max_live_levels", 0),
-        max_live_waiters=getattr(stats, "max_live_waiters", 0),
+        max_live_levels=max_levels,
+        max_live_waiters=max_waiters,
     )
-
-
-def _suspended_below(counter: CounterProtocol) -> int:
-    snapshot = getattr(counter, "snapshot", None)
-    if snapshot is None:
-        return 1 << 30  # cannot observe; skip the settle loop
-    return snapshot().total_waiters

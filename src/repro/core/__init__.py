@@ -9,8 +9,8 @@ Public surface:
   baseline for ablation.
 * :class:`~repro.core.api.CounterProtocol` / ``AbstractCounter`` — the
   structural contract shared with the simulator and instrumented variants.
-* Snapshots (:class:`~repro.core.snapshot.CounterSnapshot`) and stats
-  (:class:`~repro.core.stats.CounterStats`) for observation.
+* Snapshots (:class:`~repro.core.snapshot.CounterSnapshot`) for
+  observation; operation tallies live in :mod:`repro.obs`.
 * The error hierarchy under :class:`~repro.core.errors.CounterError`.
 """
 
@@ -30,7 +30,6 @@ from repro.core.errors import (
 )
 from repro.core.multiwait import MultiWait, barrier_levels, check_all, checkpoint
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
-from repro.core.stats import NOOP_STATS, CounterStats, NoopStats
 
 __all__ = [
     "AbstractCounter",
@@ -45,9 +44,6 @@ __all__ = [
     "CounterOverflowError",
     "CounterSnapshot",
     "WaitNodeSnapshot",
-    "CounterStats",
-    "NoopStats",
-    "NOOP_STATS",
     "MultiWait",
     "CounterSubscription",
     "check_all",

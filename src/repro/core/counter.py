@@ -60,8 +60,12 @@ from repro.obs import hooks as _obs
 from repro.obs import registry as _obs_registry
 from repro.core.errors import CheckTimeout, CounterOverflowError, ResetConcurrencyError
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
-from repro.core.stats import NOOP_STATS, CounterStats
-from repro.core.validation import validate_amount, validate_level, validate_timeout
+from repro.core.validation import (
+    validate_amount,
+    validate_level,
+    validate_max_value,
+    validate_timeout,
+)
 from repro.core.waitlist import HeapWaitList, LinkedWaitList, WaitList, WaitNode
 
 #: Every timed park arms the process-wide timer wheel (one sweeper for
@@ -155,13 +159,8 @@ class MonotonicCounter(AbstractCounter):
         :class:`~repro.core.errors.CounterOverflowError` and leaves the
         value unchanged.
     name:
-        Optional label used in ``repr`` and error messages.
-    stats:
-        ``False`` (default) carries the shared
-        :data:`~repro.core.stats.NOOP_STATS` null object and pays zero
-        bookkeeping; ``True`` keeps full
-        :class:`~repro.core.stats.CounterStats` tallies (benchmarks,
-        tests).
+        Optional label used in ``repr``, error messages and the
+        :mod:`repro.obs` metric series that tally its operations.
     fast_path:
         ``True`` (default) lets an already-satisfied ``check`` return from
         an unsynchronized read of the value without ever touching the
@@ -180,14 +179,12 @@ class MonotonicCounter(AbstractCounter):
         "_drain_lock",
         "_max_value",
         "_name",
-        "_stats_on",
         "_fast_path",
         "_live_levels",
         "_live_waiters",
         # Memoized observability label (repro.obs.registry.label writes it
         # on first use) so enabled-mode emission skips the string format.
         "_obs_label", "_obs_chan",
-        "stats",
         # Weakly referenceable so the observability registry (watchdog,
         # dump_state) can track live counters without extending lifetimes.
         "__weakref__",
@@ -199,7 +196,6 @@ class MonotonicCounter(AbstractCounter):
         strategy: WaitListStrategy = "linked",
         max_value: int | None = None,
         name: str | None = None,
-        stats: bool = False,
         fast_path: bool = True,
     ) -> None:
         self._lock = threading.Lock()
@@ -226,8 +222,10 @@ class MonotonicCounter(AbstractCounter):
             self._waiters = HeapWaitList()
         else:
             raise ValueError(f"unknown waitlist strategy: {strategy!r}")
-        if max_value is not None and (not isinstance(max_value, int) or max_value < 0):
-            raise ValueError(f"max_value must be a nonnegative int or None, got {max_value!r}")
+        # Same inline-accept trick as increment(): the rate limiter builds
+        # counters on every key eviction, and None is the common bound.
+        if max_value is not None:
+            validate_max_value(max_value)
         self._max_value = max_value
         self._name = name
         self._fast_path = bool(fast_path)
@@ -236,10 +234,6 @@ class MonotonicCounter(AbstractCounter):
         # former O(L) ``len(waiters)`` / ``sum(node.count ...)`` scans.
         self._live_levels = 0
         self._live_waiters = 0
-        self._stats_on = bool(stats)
-        #: Lifetime operation statistics (:class:`repro.core.stats.CounterStats`
-        #: when ``stats=True``, else the shared all-zero null object).
-        self.stats = CounterStats() if stats else NOOP_STATS
         _obs_registry.register(self)
 
     # ------------------------------------------------------------------ API
@@ -290,8 +284,6 @@ class MonotonicCounter(AbstractCounter):
                     f"{self!r}: increment({amount}) would exceed max_value={self._max_value}"
                 )
             self._value = new_value
-            if self._stats_on:
-                self.stats.increments += 1
             # Uncontended fast path: with no live waiting level the release
             # scan cannot find anything, so skip it entirely.
             if amount and self._live_levels:
@@ -300,7 +292,6 @@ class MonotonicCounter(AbstractCounter):
                     if sp_on:
                         _sp.fire("increment.release", self)
                     draining = None
-                    stats_on = self._stats_on
                     for node in released:
                         # `released` is the linearization point as seen
                         # under the counter lock (timeout adjudication,
@@ -315,9 +306,6 @@ class MonotonicCounter(AbstractCounter):
                         node.released = True
                         self._live_levels -= 1
                         self._live_waiters -= node.count
-                        if stats_on:
-                            self.stats.nodes_released += 1
-                            self.stats.threads_woken += node.count
                         if node.count:
                             # Freeze the drain countdown *inside* the
                             # critical section: a timed waiter whose
@@ -396,13 +384,8 @@ class MonotonicCounter(AbstractCounter):
         # — being stable — holds now and forever: returning without the lock
         # is safe.  A stale read can only err in the other direction, sending
         # us to the locked slow path, which re-tests under the lock.
-        if self._fast_path:
-            if self._value >= level:
-                if self._stats_on:
-                    # Racy bump by design: losing an occasional immediate-check
-                    # tally is preferable to re-serializing the fast path.
-                    self.stats.immediate_checks += 1
-                return
+        if self._fast_path and self._value >= level:
+            return
         # The engine handle this wait parks on: always the thread's
         # reusable slot — timed waits park on it too (staged parking;
         # see _park), swapping in a claim-guarded WheelEntry only if
@@ -418,20 +401,13 @@ class MonotonicCounter(AbstractCounter):
         self._lock_acquire()
         try:
             if self._value >= level:
-                if self._stats_on:
-                    self.stats.immediate_checks += 1
                 return
             node = self._waiters.find_or_insert(level)
             if node.count == 0 and not node.subscribers:
                 self._live_levels += 1
-                if self._stats_on:
-                    self.stats.nodes_created += 1
             node.count += 1
             node.waiters.append(waiter)
             self._live_waiters += 1
-            if self._stats_on:
-                self.stats.suspended_checks += 1
-                self.stats.note_levels(self._live_levels, self._live_waiters)
         finally:
             self._lock_release()
         # Counter lock dropped: park on the engine slot.  The release
@@ -595,8 +571,6 @@ class MonotonicCounter(AbstractCounter):
                     # Reclaimed the level's node so storage stays
                     # proportional to live levels.
                     self._live_levels -= 1
-                if self._stats_on:
-                    self.stats.timeouts += 1
                 expired_value = self._value
         if expired_value is not None:
             # Genuine timeout, fully deregistered above; the emission and
@@ -666,8 +640,6 @@ class MonotonicCounter(AbstractCounter):
             node = self._waiters.find_or_insert(level)
             if node.count == 0 and not node.subscribers:
                 self._live_levels += 1
-                if self._stats_on:
-                    self.stats.nodes_created += 1
             if node.subscribers is None:
                 node.subscribers = []
             node.subscribers.append(callback)
@@ -783,10 +755,8 @@ class BroadcastCounter(AbstractCounter):
         "_name",
         "_waiting",
         "_subs",
-        "_stats_on",
         "_fast_path",
         "_obs_label", "_obs_chan",
-        "stats",
         "__weakref__",
     )
 
@@ -795,18 +765,15 @@ class BroadcastCounter(AbstractCounter):
         *,
         max_value: int | None = None,
         name: str | None = None,
-        stats: bool = False,
         fast_path: bool = True,
     ) -> None:
         self._cond = threading.Condition()
         self._value = 0
-        self._max_value = max_value
+        self._max_value = validate_max_value(max_value)
         self._name = name
         self._waiting = 0
         self._subs: dict[int, list[Callable[[], None]]] = {}
-        self._stats_on = bool(stats)
         self._fast_path = bool(fast_path)
-        self.stats = CounterStats() if stats else NOOP_STATS
         _obs_registry.register(self)
 
     @property
@@ -823,12 +790,8 @@ class BroadcastCounter(AbstractCounter):
                     f"{self!r}: increment({amount}) would exceed max_value={self._max_value}"
                 )
             self._value = new_value
-            if self._stats_on:
-                self.stats.increments += 1
             if amount:
                 if self._waiting:
-                    if self._stats_on:
-                        self.stats.threads_woken += self._waiting
                     self._cond.notify_all()
                 if self._subs:
                     satisfied = [lv for lv in self._subs if lv <= new_value]
@@ -850,45 +813,41 @@ class BroadcastCounter(AbstractCounter):
         # Same lock-free satisfied fast path as MonotonicCounter, same
         # stability-based soundness argument (docs/api.md).
         if self._fast_path and self._value >= level:
-            if self._stats_on:
-                self.stats.immediate_checks += 1
             return
         with self._cond:
             if self._value >= level:
-                if self._stats_on:
-                    self.stats.immediate_checks += 1
                 return
             self._waiting += 1
-            if self._stats_on:
-                self.stats.suspended_checks += 1
-                self.stats.note_levels(1, self._waiting)
-            # Obs emissions here run under the single shared condition's
-            # lock — unavoidable for this baseline (its whole wait lives
-            # inside the lock), and part of why it is the *baseline*.
-            t_parked: float | None = None
-            if _obs.enabled:
-                t_parked = _obs.on_park(self, level, self._value, 1, self._waiting)
+            deadline = None if timeout is None else time.monotonic() + timeout
             try:
-                if timeout is None:
-                    while self._value < level:
+                while True:
+                    # One park/unpark pair per wait round: every round is
+                    # a suspension that a notify_all (or the deadline)
+                    # ended, so ``unparks`` counts each wakeup this
+                    # baseline pays, the spurious ones included.  The
+                    # emissions run under the shared condition's lock —
+                    # unavoidable here (the whole wait lives inside it),
+                    # and part of why this is the *baseline*.
+                    t_parked: float | None = None
+                    if _obs.enabled:
+                        t_parked = _obs.on_park(self, level, self._value, 1, self._waiting)
+                    if deadline is None:
                         self._cond.wait()
-                else:
-                    deadline = time.monotonic() + timeout
-                    while self._value < level:
+                    else:
                         remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not self._cond.wait(remaining):
-                            if self._value >= level:
-                                break
-                            if self._stats_on:
-                                self.stats.timeouts += 1
+                        if (
+                            remaining <= 0 or not self._cond.wait(remaining)
+                        ) and self._value < level:
                             if _obs.enabled:
                                 _obs.on_timeout(self, level, self._value, t_parked)
                             raise CheckTimeout(
                                 f"{self!r}: check({level}) timed out after {timeout}s "
                                 f"(value={self._value})"
                             )
-                if _obs.enabled:
-                    _obs.on_wake(self, None, level, t_parked)
+                    if _obs.enabled:
+                        _obs.on_wake(self, None, level, t_parked)
+                    if self._value >= level:
+                        return
             finally:
                 self._waiting -= 1
 

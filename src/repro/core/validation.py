@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.core.errors import CounterValueError
 
-__all__ = ["validate_amount", "validate_level", "validate_timeout"]
+__all__ = ["validate_amount", "validate_level", "validate_timeout", "validate_max_value"]
 
 
 def _as_nonnegative_int(value: object, what: str) -> int:
@@ -41,3 +41,10 @@ def validate_timeout(timeout: object) -> float | None:
     if timeout < 0:
         raise CounterValueError(f"timeout must be >= 0, got {timeout}")
     return float(timeout)
+
+
+def validate_max_value(max_value: object) -> int | None:
+    """Validate a counter's optional ``max_value`` bound (constructor-time)."""
+    if max_value is not None and (not isinstance(max_value, int) or max_value < 0):
+        raise ValueError(f"max_value must be a nonnegative int or None, got {max_value!r}")
+    return max_value

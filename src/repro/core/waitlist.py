@@ -210,8 +210,8 @@ class LinkedWaitList:
 
     def __init__(self) -> None:
         self._head: WaitNode | None = None
-        # Node count, maintained incrementally so ``len()`` is O(1) —
-        # ``reset()`` and the stats hot path call it on every operation.
+        # Node count, maintained incrementally so ``len()`` is O(1) for
+        # ``reset()`` and the testkit's invariant checks.
         self._size = 0
         self._hint: WaitNode | None = None
 

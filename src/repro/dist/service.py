@@ -181,16 +181,21 @@ class CounterService:
                 if len(line) > wire.MAX_FRAME:
                     raise ValueError(f"frame exceeds {wire.MAX_FRAME} bytes")
                 self.frames_in += 1
+                frame = None
                 try:
                     frame = wire.decode(line)
                     self._dispatch(frame, writer)
                 except (KeyError, TypeError, ValueError) as exc:
                     # A missing field or a mis-shaped one (an ``inc``
                     # in another shape) is a bad frame, not a dropped
-                    # connection.
+                    # connection.  The reply echoes the frame's ``id``
+                    # so a client awaiting it fails instead of hanging.
                     msg = f"{type(exc).__name__}: {exc}"
                     log.warning("%s: bad frame from %s: %s", self.node_id, peer, msg)
-                    writer.write(wire.encode({"op": "error", "msg": msg}))
+                    reply = {"op": "error", "msg": msg}
+                    if isinstance(frame, dict) and "id" in frame:
+                        reply["id"] = frame["id"]
+                    writer.write(wire.encode(reply))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError, ValueError) as exc:
             log.debug("%s: connection %s dropped: %s", self.node_id, peer, exc)

@@ -49,6 +49,10 @@ the server's ``pid``) and its metrics-registry snapshot, plus ``clock``
 (the server's ``time.monotonic`` at reply build time).  A
 ``trace_reply`` that would exceed :data:`MAX_FRAME` drops oldest events
 first and reports how many in ``truncated``.
+
+A frame the server cannot decode or dispatch is answered by ``error``,
+carrying the frame's ``id`` when it had one, so the request awaiting
+that id fails instead of waiting forever.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ def _demo_workload() -> None:
 
     from repro.core import CheckTimeout, MonotonicCounter
 
-    counter = MonotonicCounter(name="demo-fanin", stats=True)
+    counter = MonotonicCounter(name="demo-fanin")
 
     def checker(level: int) -> None:
         counter.check(level)

@@ -75,9 +75,6 @@ def _render(counter: object) -> dict[str, Any]:
     ]
     doc["waiting_levels"] = sum(1 for w in doc["waiting"] if not w["signaled"])
     doc["total_waiters"] = sum(w["waiters"] for w in doc["waiting"] if not w["signaled"])
-    stats = getattr(counter, "stats", None)
-    if stats is not None and getattr(stats, "enabled", False):
-        doc["stats"] = stats.as_dict()
     return doc
 
 

@@ -5,7 +5,10 @@ The service's ``fetch_metrics`` op ships a node's
 module folds any number of those into one fleet-wide view and renders
 it in Prometheus text exposition format — the body of the aggregating
 endpoint :meth:`repro.dist.service.CounterService.serve_metrics`
-serves, so one scrape covers the whole fabric.
+serves, so one scrape covers the whole fabric.  :func:`render_snapshot`
+is also the one renderer behind a single node's
+:meth:`~repro.obs.metrics.MetricsRegistry.prometheus`, so a node and
+the fleet export the same metric names by construction.
 
 Merging is per metric kind:
 
@@ -15,7 +18,6 @@ Merging is per metric kind:
   ``sum`` add — which is exact because every node uses the same fixed
   bounds (:data:`~repro.obs.metrics.LATENCY_BOUNDS` et al.), and safe
   even if bounds ever diverge (the union of bounds is kept);
-* the unified ``CounterStats`` tallies sum per (label, tally);
 * trace-ring health sums (fleet totals of emitted/dropped/buffered).
 
 Same-label series from different nodes *merge* rather than collide —
@@ -26,7 +28,8 @@ liveness is exported separately as ``repro_fleet_node_up``.
 
 from __future__ import annotations
 
-__all__ = ["merge_histograms", "merge_series", "merge_snapshots", "render_fleet"]
+__all__ = ["merge_histograms", "merge_series", "merge_snapshots", "render_fleet",
+           "render_snapshot"]
 
 
 def merge_histograms(into: dict, other: dict) -> dict:
@@ -41,9 +44,34 @@ def merge_histograms(into: dict, other: dict) -> dict:
     }
 
 
-_SERIES_TALLIES = ("increments", "releases", "parks", "unparks", "timeouts")
-_SERIES_HIGH_WATERS = ("live_levels_hw", "live_waiters_hw")
-_SERIES_HISTOGRAMS = ("wait_latency", "wakeup_latency")
+#: (series field, Prometheus name, help) per metric kind: what the merge
+#: folds and what :func:`render_snapshot` writes, in one place.
+_COUNTERS = (
+    ("increments", "repro_counter_increments_total", "Increment operations observed"),
+    ("releases", "repro_counter_releases_total", "Wait nodes released by increments"),
+    ("parks", "repro_counter_parks_total", "Checks that suspended"),
+    ("unparks", "repro_counter_unparks_total", "Suspended checks that resumed"),
+    ("timeouts", "repro_counter_timeouts_total", "Checks whose wait expired"),
+)
+_GAUGES = (
+    ("live_levels_hw", "repro_counter_live_levels_high_water", "Max simultaneous distinct waiting levels (the paper's L)"),
+    ("live_waiters_hw", "repro_counter_live_waiters_high_water", "Max simultaneous suspended threads"),
+)
+_HISTOGRAMS = (
+    ("wait_latency", "repro_counter_wait_latency_seconds", "Park-to-unpark latency of suspended checks"),
+    ("wakeup_latency", "repro_counter_wakeup_latency_seconds", "Release-to-unpark latency (the wakeup path)"),
+)
+_TRACE_GAUGES = (
+    ("emitted", "repro_trace_emitted_total", "Events appended to trace rings (lifetime)"),
+    ("dropped", "repro_trace_dropped_total", "Events that fell off ring far ends"),
+    ("sink_errors", "repro_trace_sink_errors_total", "Sink invocations that raised (sink detached on first)"),
+    ("buffered", "repro_trace_buffered", "Events currently held in rings"),
+    ("capacity", "repro_trace_capacity", "Ring capacity (summed over a fleet)"),
+)
+
+_SERIES_TALLIES = tuple(attr for attr, _, _ in _COUNTERS)
+_SERIES_HIGH_WATERS = tuple(attr for attr, _, _ in _GAUGES)
+_SERIES_HISTOGRAMS = tuple(attr for attr, _, _ in _HISTOGRAMS)
 
 
 def merge_series(into: dict, other: dict) -> dict:
@@ -66,7 +94,6 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     that can read a node's snapshot can read the fleet's.
     """
     series: dict[str, dict] = {}
-    stats: dict[str, dict] = {}
     trace: dict | None = None
     dropped = 0
     for snapshot in snapshots:
@@ -77,10 +104,6 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
                 series[label] = merge_series(series[label], node_series)
             else:
                 series[label] = dict(node_series)
-        for label, tallies in (snapshot.get("stats") or {}).items():
-            slot = stats.setdefault(label, {})
-            for tally, value in tallies.items():
-                slot[tally] = slot.get(tally, 0) + value
         health = snapshot.get("trace")
         if health:
             if trace is None:
@@ -89,8 +112,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
                 for key, value in health.items():
                     trace[key] = trace.get(key, 0) + value
         dropped += snapshot.get("dropped_series", 0)
-    return {"series": series, "stats": stats, "trace": trace,
-            "dropped_series": dropped}
+    return {"series": series, "trace": trace, "dropped_series": dropped}
 
 
 def _escape(label: str) -> str:
@@ -101,57 +123,23 @@ def _bound_key(bound: str) -> float:
     return float("inf") if bound == "+Inf" else float(bound)
 
 
-def render_fleet(nodes: list[dict]) -> str:
-    """Prometheus exposition for a fleet of node metric replies.
+def render_snapshot(snapshot: dict) -> list[str]:
+    """Prometheus exposition lines for one registry-shaped snapshot.
 
-    ``nodes`` entries are ``{"node", "pid", "snapshot", "up"}`` — the
-    shape :meth:`CounterService.fetch_peer_metrics` returns; a down or
-    metrics-disabled node contributes liveness gauges only.  Metric
-    names match :meth:`MetricsRegistry.prometheus` so dashboards work
-    against a node or the fleet unchanged.
+    ``snapshot`` is a :meth:`MetricsRegistry.snapshot` or a
+    :func:`merge_snapshots` result.  Histograms follow the
+    cumulative-``le`` convention, computed here from the snapshot's
+    per-bucket counts.
     """
-    merged = merge_snapshots([n.get("snapshot") for n in nodes
-                              if n.get("snapshot")])
     lines: list[str] = []
-    lines.append("# HELP repro_fleet_nodes Nodes aggregated in this scrape")
-    lines.append("# TYPE repro_fleet_nodes gauge")
-    lines.append(f"repro_fleet_nodes {len(nodes)}")
-    lines.append("# HELP repro_fleet_node_up Whether the node answered the scrape")
-    lines.append("# TYPE repro_fleet_node_up gauge")
-    for node in nodes:
-        pid = node.get("pid")
-        lines.append(
-            f'repro_fleet_node_up{{node="{_escape(node.get("node", "?"))}"'
-            f',pid="{pid if pid is not None else ""}"}} '
-            f'{1 if node.get("up") else 0}'
-        )
-    series = sorted(merged["series"].items())
-    counters = (
-        ("increments", "repro_counter_increments_total", "Increment operations observed (fleet)"),
-        ("releases", "repro_counter_releases_total", "Wait nodes released by increments (fleet)"),
-        ("parks", "repro_counter_parks_total", "Checks that suspended (fleet)"),
-        ("unparks", "repro_counter_unparks_total", "Suspended checks that resumed (fleet)"),
-        ("timeouts", "repro_counter_timeouts_total", "Checks whose wait expired (fleet)"),
-    )
-    gauges = (
-        ("live_levels_hw", "repro_counter_live_levels_high_water", "Max simultaneous distinct waiting levels (fleet max)"),
-        ("live_waiters_hw", "repro_counter_live_waiters_high_water", "Max simultaneous suspended threads (fleet max)"),
-    )
-    histograms = (
-        ("wait_latency", "repro_counter_wait_latency_seconds", "Park-to-unpark latency of suspended checks (fleet)"),
-        ("wakeup_latency", "repro_counter_wakeup_latency_seconds", "Release-to-unpark latency (fleet)"),
-    )
-    for attr, metric, help_text in counters:
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} counter")
-        for label, m in series:
-            lines.append(f'{metric}{{counter="{_escape(label)}"}} {m.get(attr, 0)}')
-    for attr, metric, help_text in gauges:
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} gauge")
-        for label, m in series:
-            lines.append(f'{metric}{{counter="{_escape(label)}"}} {m.get(attr, 0)}')
-    for attr, metric, help_text in histograms:
+    series = sorted(snapshot["series"].items())
+    for table, kind in ((_COUNTERS, "counter"), (_GAUGES, "gauge")):
+        for attr, metric, help_text in table:
+            lines.append(f"# HELP {metric} {help_text}")
+            lines.append(f"# TYPE {metric} {kind}")
+            for label, m in series:
+                lines.append(f'{metric}{{counter="{_escape(label)}"}} {m.get(attr, 0)}')
+    for attr, metric, help_text in _HISTOGRAMS:
         lines.append(f"# HELP {metric} {help_text}")
         lines.append(f"# TYPE {metric} histogram")
         for label, m in series:
@@ -170,28 +158,39 @@ def render_fleet(nodes: list[dict]) -> str:
             lines.append(f'{metric}_bucket{{counter="{esc}",le="+Inf"}} {cumulative}')
             lines.append(f'{metric}_sum{{counter="{esc}"}} {hist.get("sum", 0.0):g}')
             lines.append(f'{metric}_count{{counter="{esc}"}} {cumulative}')
-    trace = merged.get("trace")
+    trace = snapshot.get("trace")
     if trace:
-        trace_gauges = (
-            ("emitted", "repro_trace_emitted_total", "Events appended to trace rings (fleet lifetime)"),
-            ("dropped", "repro_trace_dropped_total", "Events that fell off ring far ends (fleet)"),
-            ("sink_errors", "repro_trace_sink_errors_total", "Sink invocations that raised (fleet)"),
-            ("buffered", "repro_trace_buffered", "Events currently held in rings (fleet)"),
-            ("capacity", "repro_trace_capacity", "Summed ring capacity (fleet)"),
-        )
-        for key, metric, help_text in trace_gauges:
+        for key, metric, help_text in _TRACE_GAUGES:
             lines.append(f"# HELP {metric} {help_text}")
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {trace.get(key, 0)}")
-    stats = merged.get("stats")
-    if stats:
-        lines.append("# HELP repro_counter_stats_total Unified opt-in CounterStats tallies (fleet)")
-        lines.append("# TYPE repro_counter_stats_total counter")
-        for label, tallies in sorted(stats.items()):
-            esc = _escape(label)
-            for tally, value in tallies.items():
-                lines.append(
-                    f'repro_counter_stats_total{{counter="{esc}",tally="{tally}"}} {value}'
-                )
+    return lines
+
+
+def render_fleet(nodes: list[dict]) -> str:
+    """Prometheus exposition for a fleet of node metric replies.
+
+    ``nodes`` entries are ``{"node", "pid", "snapshot", "up"}`` — the
+    shape :meth:`CounterService.fetch_peer_metrics` returns; a down or
+    metrics-disabled node contributes liveness gauges only.  The merged
+    series render through :func:`render_snapshot`, the same function a
+    single node's scrape uses.
+    """
+    merged = merge_snapshots([n.get("snapshot") for n in nodes
+                              if n.get("snapshot")])
+    lines: list[str] = []
+    lines.append("# HELP repro_fleet_nodes Nodes aggregated in this scrape")
+    lines.append("# TYPE repro_fleet_nodes gauge")
+    lines.append(f"repro_fleet_nodes {len(nodes)}")
+    lines.append("# HELP repro_fleet_node_up Whether the node answered the scrape")
+    lines.append("# TYPE repro_fleet_node_up gauge")
+    for node in nodes:
+        pid = node.get("pid")
+        lines.append(
+            f'repro_fleet_node_up{{node="{_escape(node.get("node", "?"))}"'
+            f',pid="{pid if pid is not None else ""}"}} '
+            f'{1 if node.get("up") else 0}'
+        )
+    lines.extend(render_snapshot(merged))
     lines.append("")
     return "\n".join(lines)

@@ -15,19 +15,17 @@ Histograms are exponential-bucket and **lock-free-ish**: ``observe``
 stages the raw sample in a bounded deque (one C ``append``, the
 cheapest thing the hot path can do) and the bucket/count/sum rollup
 happens lazily when a reader looks — so concurrent observations can
-occasionally lose a race and undercount, the same documented trade the
-fast path's ``immediate_checks`` tally makes, and a reader that never
+occasionally lose a race and undercount, and a reader that never
 scrapes loses the oldest staged samples once the staging deque wraps
 (64Ki per histogram — scrape more often than that per series for exact
 tallies).  Observability must never serialize the paths it observes;
 bounds, not bookkeeping, are exact.
 
-The registry also *unifies* the older opt-in
-:class:`repro.core.stats.CounterStats` tallies: a metrics snapshot (and
-the Prometheus text export) folds in the stats of every live registered
-counter that carries them, so there is one export surface for both
-generations of bookkeeping.  ``stats=False`` counters keep their
-``NOOP_STATS`` null object and contribute nothing, exactly as before.
+The per-series tallies (``parks``, ``unparks``, ``releases``,
+``timeouts``, the two high waters) are the package's one record of the
+§7 observables: the E8 benchmarks and the core tests read them under
+:func:`repro.obs.observe`.  The lock-free ``check`` fast path is not
+counted — it carries no instrumentation at all.
 """
 
 from __future__ import annotations
@@ -35,6 +33,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import deque
+
+from repro.obs.fleet import render_snapshot
 
 __all__ = [
     "Histogram",
@@ -382,7 +382,7 @@ class MetricsRegistry:
         return out
 
     def snapshot(self) -> dict:
-        """Dict export: per-label series plus the unified live counter stats.
+        """Dict export: every per-label series.
 
         Includes a ``trace`` section with the *active* trace ring's
         health (``None`` when tracing is off): a scrape that sees
@@ -390,14 +390,13 @@ class MetricsRegistry:
         """
         return {
             "series": {label: m.snapshot() for label, m in sorted(self._series.items())},
-            "stats": self._live_stats(),
             "trace": self._trace_health(),
             "dropped_series": self.dropped_series,
         }
 
     @staticmethod
     def _trace_health() -> dict | None:
-        """The live trace ring's counters (lazy import, like _live_stats)."""
+        """The live trace ring's counters (hooks imported lazily: it imports us)."""
         from repro.obs import hooks
 
         trace = hooks._trace
@@ -411,106 +410,15 @@ class MetricsRegistry:
             "capacity": trace.capacity,
         }
 
-    @staticmethod
-    def _live_stats() -> dict[str, dict]:
-        """CounterStats of live registered counters, unified into the export.
-
-        Only counters constructed with ``stats=True`` contribute (the
-        ``NOOP_STATS`` null object identifies itself via ``enabled``);
-        the per-tally caveats — ``immediate_checks`` may
-        undercount under contention, everything else is exact — carry
-        over unchanged and are quantified by
-        ``tests/obs/test_stats_undercount.py``.
-        """
-        from repro.obs import registry
-
-        out: dict[str, dict] = {}
-        for counter in registry.live_counters():
-            stats = getattr(counter, "stats", None)
-            if stats is None or not getattr(stats, "enabled", False):
-                continue
-            out[registry.label(counter)] = stats.as_dict()
-        return out
-
     # ----------------------------------------------------------- Prometheus
 
     def prometheus(self) -> str:
         """The registry in Prometheus text exposition format.
 
-        Histograms follow the cumulative-``le`` convention; the unified
-        ``CounterStats`` tallies export as
-        ``repro_counter_stats_total{counter=...,tally=...}``.
+        Rendered from :meth:`snapshot` by
+        :func:`repro.obs.fleet.render_snapshot`, the function the fleet
+        scrape uses too.
         """
-        lines: list[str] = []
-        counters = (
-            ("increments", "repro_counter_increments_total", "Increment operations observed"),
-            ("releases", "repro_counter_releases_total", "Wait nodes released by increments"),
-            ("parks", "repro_counter_parks_total", "Checks that suspended"),
-            ("unparks", "repro_counter_unparks_total", "Suspended checks that resumed"),
-            ("timeouts", "repro_counter_timeouts_total", "Checks whose wait expired"),
-        )
-        gauges = (
-            ("live_levels_hw", "repro_counter_live_levels_high_water", "Max simultaneous distinct waiting levels (the paper's L)"),
-            ("live_waiters_hw", "repro_counter_live_waiters_high_water", "Max simultaneous suspended threads"),
-        )
-        histograms = (
-            ("wait_latency", "repro_counter_wait_latency_seconds", "Park-to-unpark latency of suspended checks"),
-            ("wakeup_latency", "repro_counter_wakeup_latency_seconds", "Release-to-unpark latency (the wakeup path)"),
-        )
-        series = sorted(self._series.items())
-        for attr, metric, help_text in counters:
-            lines.append(f"# HELP {metric} {help_text}")
-            lines.append(f"# TYPE {metric} counter")
-            for label, m in series:
-                lines.append(f'{metric}{{counter="{_escape(label)}"}} {getattr(m, attr)}')
-        for attr, metric, help_text in gauges:
-            lines.append(f"# HELP {metric} {help_text}")
-            lines.append(f"# TYPE {metric} gauge")
-            for label, m in series:
-                lines.append(f'{metric}{{counter="{_escape(label)}"}} {getattr(m, attr)}')
-        for attr, metric, help_text in histograms:
-            lines.append(f"# HELP {metric} {help_text}")
-            lines.append(f"# TYPE {metric} histogram")
-            for label, m in series:
-                hist: Histogram = getattr(m, attr)
-                esc = _escape(label)
-                # One drain per histogram: read buckets once so the le
-                # lines and the +Inf/count totals describe one sweep.
-                buckets = hist.buckets
-                cumulative = 0
-                for bound, n in zip(hist.bounds, buckets):
-                    cumulative += n
-                    lines.append(f'{metric}_bucket{{counter="{esc}",le="{bound:g}"}} {cumulative}')
-                cumulative += buckets[-1]
-                lines.append(f'{metric}_bucket{{counter="{esc}",le="+Inf"}} {cumulative}')
-                lines.append(f'{metric}_sum{{counter="{esc}"}} {hist.sum:g}')
-                lines.append(f'{metric}_count{{counter="{esc}"}} {cumulative}')
-        trace_health = self._trace_health()
-        if trace_health is not None:
-            trace_gauges = (
-                ("emitted", "repro_trace_emitted_total", "Events appended to the trace ring (lifetime)"),
-                ("dropped", "repro_trace_dropped_total", "Events that fell off the ring's far end"),
-                ("sink_errors", "repro_trace_sink_errors_total", "Sink invocations that raised (sink detached on first)"),
-                ("buffered", "repro_trace_buffered", "Events currently held in the ring"),
-                ("capacity", "repro_trace_capacity", "Ring capacity"),
-            )
-            for key, metric, help_text in trace_gauges:
-                lines.append(f"# HELP {metric} {help_text}")
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {trace_health[key]}")
-        stats = self._live_stats()
-        if stats:
-            lines.append("# HELP repro_counter_stats_total Unified opt-in CounterStats tallies")
-            lines.append("# TYPE repro_counter_stats_total counter")
-            for label, tallies in sorted(stats.items()):
-                esc = _escape(label)
-                for tally, value in tallies.items():
-                    lines.append(
-                        f'repro_counter_stats_total{{counter="{esc}",tally="{tally}"}} {value}'
-                    )
+        lines = render_snapshot(self.snapshot())
         lines.append("")
         return "\n".join(lines)
-
-
-def _escape(label: str) -> str:
-    return label.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")

@@ -9,9 +9,8 @@ the map has doubled since the last prune, which keeps it within about
 twice the live count at amortized O(1) per registration.
 
 The registry is what makes ambient introspection possible at all: the
-stall watchdog scans it, ``repro.obs.dump_state()`` renders it, and the
-metrics registry folds the live counters' opt-in ``CounterStats`` into
-its export.  Handles that keep internal counters (an shm handle's
+stall watchdog scans it and ``repro.obs.dump_state()`` renders it.
+Handles that keep internal counters (an shm handle's
 waiter mirror and seat count) deregister them so each logical counter
 appears exactly once, and the shm and service handles deregister
 themselves on ``close()``.

@@ -65,8 +65,9 @@ class SimCounter:
     """Virtual-time monotonic counter.
 
     Waiters are kept in a heap keyed by level — the simulator analogue of
-    the paper's ordered wait list.  ``max_live_levels`` mirrors
-    :class:`repro.core.stats.CounterStats` for the E8 complexity claims.
+    the paper's ordered wait list.  ``max_live_levels`` mirrors the
+    ``live_levels_hw`` metric :mod:`repro.obs` keeps for real counters
+    (the E8 complexity claims).
     """
 
     __slots__ = ("name", "value", "_waiters", "_seq", "max_live_levels", "max_live_waiters")

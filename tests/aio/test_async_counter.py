@@ -9,6 +9,8 @@ import pytest
 
 from repro.aio import AsyncCounter, CounterBridge
 from repro.core import CheckTimeout, CounterValueError, ResetConcurrencyError
+from repro.obs import observe
+from tests.helpers import series_of
 
 
 def run(coro):
@@ -103,18 +105,21 @@ class TestAsyncSuspension:
 
     def test_storage_proportional_to_levels(self):
         async def scenario():
-            c = AsyncCounter(stats=True)
-            tasks = [
-                asyncio.ensure_future(c.check((i % 3) + 1)) for i in range(12)
-            ]
-            await asyncio.sleep(0)
-            snapshot = c.snapshot()
-            assert snapshot.total_waiters == 12
-            assert len(snapshot.nodes) == 3  # L, not W
-            c.increment(3)
-            await asyncio.gather(*tasks)
-            assert c.stats.max_live_levels == 3
-            assert c.stats.max_live_waiters == 12
+            c = AsyncCounter()
+            with observe(trace=False) as h:
+                tasks = [
+                    asyncio.ensure_future(c.check((i % 3) + 1)) for i in range(12)
+                ]
+                await asyncio.sleep(0)
+                snapshot = c.snapshot()
+                assert snapshot.total_waiters == 12
+                assert len(snapshot.nodes) == 3  # L, not W
+                c.increment(3)
+                await asyncio.gather(*tasks)
+            tallies = series_of(h, c)
+            assert tallies.live_levels_hw == 3
+            assert tallies.live_waiters_hw == 12
+            assert (tallies.parks, tallies.releases, tallies.unparks) == (12, 3, 12)
 
         run(scenario())
 

@@ -173,18 +173,18 @@ class TestLevelTiled:
     def test_elides_counter_checks(self):
         """The whole point: strictly fewer check calls than iterations
         whenever the snapshot covers future levels."""
-        from repro.core import MonotonicCounter
+        from tests.helpers import CallCountingCounter
 
         calls = {}
         for level_tiled in (False, True):
-            counter = MonotonicCounter(stats=True)
+            counter = CallCountingCounter()
             shortest_paths_counter(
                 random_dense_graph(24, seed=5),
                 2,
                 counter=counter,
                 level_tiled=level_tiled,
             )
-            calls[level_tiled] = counter.stats.checks
+            calls[level_tiled] = counter.checks
         assert calls[True] < calls[False]
 
     def test_figure1(self):

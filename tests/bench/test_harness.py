@@ -6,6 +6,8 @@ import pytest
 
 from repro.bench import SpreadResult, Table, Timing, measure, spread_waiters
 from repro.core import BroadcastCounter, MonotonicCounter
+from repro.obs import observe
+from tests.helpers import series_of
 
 
 class TestTable:
@@ -79,20 +81,22 @@ class TestTiming:
 
 class TestSpreadWaiters:
     def test_levels_spread_and_release(self):
-        result = spread_waiters(MonotonicCounter(stats=True), waiters=12, levels=4)
+        result = spread_waiters(MonotonicCounter(), waiters=12, levels=4)
         assert isinstance(result, SpreadResult)
         assert result.max_live_levels == 4
         assert result.max_live_waiters == 12
 
     def test_stepped_release(self):
-        counter = MonotonicCounter(stats=True)
-        spread_waiters(counter, waiters=8, levels=8, increment_steps=8)
+        counter = MonotonicCounter()
+        with observe(trace=False) as h:
+            spread_waiters(counter, waiters=8, levels=8, increment_steps=8)
         assert counter.value == 8
-        assert counter.stats.threads_woken == 8  # each woken exactly once
+        assert series_of(h, counter).unparks == 8  # each woken exactly once
 
     def test_broadcast_counter_supported(self):
-        result = spread_waiters(BroadcastCounter(stats=True), waiters=6, levels=3)
+        result = spread_waiters(BroadcastCounter(), waiters=6, levels=3)
         assert result.max_live_waiters == 6
+        assert result.max_live_levels == 1  # one anonymous queue
 
     def test_validation(self):
         with pytest.raises(ValueError):

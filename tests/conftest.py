@@ -34,9 +34,5 @@ def counter(request):
 
 @pytest.fixture(params=["linked", "heap"])
 def paper_counter(request):
-    """Only the per-level-queue implementations (snapshot-accurate).
-
-    Constructed with ``stats=True`` (stats are off by default) so tests
-    can assert on the §7 observables.
-    """
-    return MonotonicCounter(strategy=request.param, stats=True)
+    """Only the per-level-queue implementations (snapshot-accurate)."""
+    return MonotonicCounter(strategy=request.param)

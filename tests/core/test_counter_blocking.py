@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro.core import CheckTimeout, MonotonicCounter, ResetConcurrencyError
-from tests.helpers import join_all, spawn, wait_until
+from repro.obs import observe
+from tests.helpers import CallCountingCounter, join_all, series_of, spawn, wait_until
 
 
 class TestSuspension:
@@ -201,41 +202,44 @@ class TestMissedCheckParks:
     cannot satisfy registers on its level's node and parks."""
 
     def test_missed_check_suspends_exactly_once(self):
-        counter = MonotonicCounter(stats=True)
-        waiter = spawn(counter.check, 1)
-        wait_until(lambda: counter.snapshot().total_waiters == 1)
-        counter.increment(1)
-        join_all([waiter])
-        assert counter.stats.suspended_checks == 1
-        assert counter.stats.immediate_checks == 0
-        assert counter.stats.threads_woken == 1
+        counter = CallCountingCounter()
+        with observe(trace=False) as h:
+            waiter = spawn(counter.check, 1)
+            wait_until(lambda: counter.snapshot().total_waiters == 1)
+            counter.increment(1)
+            join_all([waiter])
+        assert counter.checks == 1
+        assert series_of(h, counter).parks == 1  # so no immediate return
+        assert series_of(h, counter).unparks == 1
 
     def test_timeout_zero_raises_and_leaves_no_waiter(self):
         """``check(level, timeout=0)`` on a short value is an instant
         probe: it raises and deregisters before returning."""
-        counter = MonotonicCounter(stats=True)
-        with pytest.raises(CheckTimeout):
-            counter.check(1, timeout=0)
-        assert counter.stats.timeouts == 1
+        counter = MonotonicCounter()
+        with observe(trace=False) as h:
+            with pytest.raises(CheckTimeout):
+                counter.check(1, timeout=0)
+        assert series_of(h, counter).timeouts == 1
         assert counter.snapshot().waiting_levels == ()
         assert (counter._live_levels, counter._live_waiters) == (0, 0)
         counter.increment(1)
         counter.check(1, timeout=0)
 
     def test_no_fast_path_still_parks_and_wakes(self):
-        counter = MonotonicCounter(fast_path=False, stats=True)
-        waiter = spawn(counter.check, 1)
-        wait_until(lambda: counter.snapshot().total_waiters == 1)
-        counter.increment(1)
-        join_all([waiter])
-        assert counter.stats.suspended_checks == 1
+        counter = MonotonicCounter(fast_path=False)
+        with observe(trace=False) as h:
+            waiter = spawn(counter.check, 1)
+            wait_until(lambda: counter.snapshot().total_waiters == 1)
+            counter.increment(1)
+            join_all([waiter])
+        assert series_of(h, counter).parks == 1
         assert counter.snapshot().waiting_levels == ()
 
     def test_chase_completes_and_tallies_consistently(self):
         """A consumer chasing a producer level by level: every check is
-        satisfied on the fast path or by a park, and the stats account
-        for all of them."""
-        counter = MonotonicCounter(stats=True)
+        satisfied on the fast path or by a park, and every park is
+        matched by one wakeup."""
+        counter = CallCountingCounter()
         levels = 400
 
         def producer():
@@ -246,10 +250,13 @@ class TestMissedCheckParks:
             for level in range(1, levels + 1):
                 counter.check(level, timeout=30)
 
-        join_all([spawn(consumer), spawn(producer)])
-        stats = counter.stats
-        assert stats.checks >= levels  # racy immediate tallies may undercount
-        assert stats.checks == stats.immediate_checks + stats.suspended_checks
+        with observe(trace=False) as h:
+            join_all([spawn(consumer), spawn(producer)])
+        assert (counter.checks, counter.increments) == (levels, levels)
+        tallies = series_of(h, counter)
+        assert tallies.parks <= levels
+        assert tallies.unparks == tallies.parks
+        assert tallies.timeouts == 0
 
 
 def _waiting(counter) -> int:

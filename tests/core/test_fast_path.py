@@ -1,4 +1,4 @@
-"""Hammer tests for the lock-free fast paths and the stats null object.
+"""Hammer tests for the lock-free fast paths.
 
 The fast path returns from an *unsynchronized* read of the value.  Its
 soundness argument (stability: a stale ``value >= level`` can never be
@@ -23,8 +23,8 @@ import threading
 import pytest
 
 from repro.core import MonotonicCounter
-from repro.core.stats import NOOP_STATS, CounterStats, NoopStats
-from tests.helpers import join_all, spawn, wait_until
+from repro.obs import observe
+from tests.helpers import join_all, series_of, spawn, wait_until
 
 
 @pytest.fixture(params=["linked", "heap"])
@@ -87,7 +87,7 @@ class TestFastPathSoundness:
         level_script = sorted(rng.randrange(0, total + 1) for _ in range(50))
         finals = []
         for fast_path in (True, False):
-            c = MonotonicCounter(strategy=strategy, fast_path=fast_path, stats=True)
+            c = MonotonicCounter(strategy=strategy, fast_path=fast_path)
             threads = [
                 spawn(lambda: [c.check(lv, timeout=30) for lv in level_script])
                 for _ in range(4)
@@ -124,36 +124,39 @@ class TestFastPathSoundness:
 
 class TestIncrementFastPath:
     def test_waiterless_increment_skips_release_machinery(self, strategy):
-        c = MonotonicCounter(strategy=strategy, stats=True)
-        for _ in range(100):
-            c.increment(1)
-        assert c.stats.nodes_released == 0
+        c = MonotonicCounter(strategy=strategy)
+        with observe(trace=False) as h:
+            for _ in range(100):
+                c.increment(1)
+        assert series_of(h, c).releases == 0
         assert c._live_levels == 0
         assert c._draining == {}
 
     def test_live_counts_track_suspend_release_cycles(self, strategy):
-        c = MonotonicCounter(strategy=strategy, stats=True)
+        c = MonotonicCounter(strategy=strategy)
         done = threading.Semaphore(0)
-        threads = [
-            spawn(lambda lv=(i % 4) + 1: (c.check(lv, timeout=30), done.release()))
-            for i in range(12)
-        ]
-        # Wait until all 12 are registered in the incremental tallies.
-        wait_until(lambda: c._live_waiters == 12)
-        assert c._live_levels == 4
-        assert c.stats.max_live_levels == 4
-        assert c.stats.max_live_waiters == 12
-        c.increment(4)
-        for _ in range(12):
-            assert done.acquire(timeout=30)
-        join_all(threads)
+        with observe(trace=False) as h:
+            threads = [
+                spawn(lambda lv=(i % 4) + 1: (c.check(lv, timeout=30), done.release()))
+                for i in range(12)
+            ]
+            # Wait until all 12 are registered in the incremental tallies.
+            wait_until(lambda: c._live_waiters == 12)
+            assert c._live_levels == 4
+            wait_until(lambda: series_of(h, c).parks == 12)
+            assert series_of(h, c).live_levels_hw == 4
+            assert series_of(h, c).live_waiters_hw == 12
+            c.increment(4)
+            for _ in range(12):
+                assert done.acquire(timeout=30)
+            join_all(threads)
         assert c._live_levels == 0
         assert c._live_waiters == 0
 
     def test_timeout_rolls_back_live_counts(self, strategy):
         from repro.core import CheckTimeout
 
-        c = MonotonicCounter(strategy=strategy, stats=True)
+        c = MonotonicCounter(strategy=strategy)
         for _ in range(5):
             with pytest.raises(CheckTimeout):
                 c.check(99, timeout=0.01)
@@ -163,25 +166,19 @@ class TestIncrementFastPath:
 
 
 class TestStatsOptIn:
-    def test_default_counter_carries_the_shared_null_object(self):
-        c = MonotonicCounter()
-        assert c.stats is NOOP_STATS
-        assert isinstance(c.stats, NoopStats)
-        assert not c.stats.enabled
-        c.increment(3)
-        c.check(1)
-        assert c.stats.increments == 0
-        assert c.stats.checks == 0
-        assert c.stats.snapshot() == CounterStats()
-
     def test_opt_in_counter_records(self):
-        c = MonotonicCounter(stats=True)
-        assert c.stats.enabled
+        """Tallies are opt-in per process, not per counter: nothing is
+        recorded while :mod:`repro.obs` is off, and under ``observe()``
+        every counter records into its metric series."""
+        c = MonotonicCounter()
         c.increment(3)
-        c.check(1)
-        assert c.stats.increments == 1
-        assert c.stats.immediate_checks == 1
-
-    def test_null_object_is_immutable(self):
-        with pytest.raises(AttributeError):
-            NOOP_STATS.increments = 1
+        with observe(trace=False) as h:
+            c.increment(3)
+            c.check(1)
+            waiter = spawn(c.check, 7)
+            wait_until(lambda: c.snapshot().total_waiters == 1)
+            c.increment(1)
+            join_all([waiter])
+        tallies = series_of(h, c)
+        assert (tallies.increments, tallies.parks, tallies.unparks) == (2, 1, 1)
+        assert not hasattr(c, "stats")

@@ -14,7 +14,8 @@ from repro.core import (
     check_all,
     checkpoint,
 )
-from tests.helpers import join_all, spawn, wait_until
+from repro.obs import observe
+from tests.helpers import join_all, series_of, spawn, wait_until
 
 
 def _no_wait_nodes(counter) -> bool:
@@ -191,7 +192,7 @@ class TestMultiWait:
     def test_waiter_parks_once_for_many_conditions(self):
         """The point of the subscription strategy: one park, not k parks."""
         counters = [MonotonicCounter() for _ in range(8)]
-        with MultiWait([(c, 1) for c in counters]) as mw:
+        with observe(trace=False) as h, MultiWait([(c, 1) for c in counters]) as mw:
             done = []
             thread = spawn(lambda: (mw.wait_all(), done.append(True)))
             for c in counters:
@@ -201,7 +202,8 @@ class TestMultiWait:
         # No counter ever saw a suspended checker: satisfaction was
         # delivered purely through subscription callbacks.
         for c in counters:
-            assert c.stats.suspended_checks == 0
+            assert series_of(h, c).increments == 1
+            assert series_of(h, c).parks == 0
 
     def test_timeout_raises_check_timeout(self):
         a = MonotonicCounter()

@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.aio import AsyncCounter
 from repro.core import BroadcastCounter, CounterProtocol, MonotonicCounter
 from repro.determinism import DeterminismChecker
 
@@ -92,6 +93,27 @@ class TestConformance:
             value = impl.increment(amount)
             assert value >= last
             last = value
+
+
+class TestMaxValueConformance:
+    """The three counter classes validate ``max_value`` alike, at
+    construction, and enforce it alike."""
+
+    @pytest.mark.parametrize(
+        "cls", [MonotonicCounter, BroadcastCounter, AsyncCounter],
+        ids=["monotonic", "broadcast", "async"],
+    )
+    def test_bad_bounds_are_rejected_and_good_ones_enforced(self, cls):
+        from repro.core import CounterOverflowError
+
+        for bad in (-1, "5", 2.0):
+            with pytest.raises(ValueError, match="max_value"):
+                cls(max_value=bad)
+        counter = cls(max_value=3)
+        assert counter.increment(3) == 3
+        with pytest.raises(CounterOverflowError):
+            counter.increment(1)
+        assert counter.value == 3
 
 
 class TestSimCounterConformance:

@@ -1,65 +1,92 @@
-"""Counter statistics and snapshot accounting (§7 complexity observables)."""
+"""Counter tallies and snapshot accounting (§7 complexity observables).
+
+The tallies are the :mod:`repro.obs` metric series, read under
+``observe()``; call counts come from the test suite's
+:class:`~tests.helpers.CallCountingCounter`.
+"""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.core import CounterSnapshot, MonotonicCounter, WaitNodeSnapshot
-from repro.core.stats import CounterStats
-from tests.helpers import join_all, spawn, wait_until
+from repro.obs import CounterMetrics, observe
+from tests.helpers import CallCountingCounter, join_all, series_of, spawn, wait_until
 
 
 class TestCounterStats:
     def test_increment_and_immediate_check_tallies(self):
-        c = MonotonicCounter(stats=True)
-        c.increment(5)
-        c.increment(2)
-        c.check(3)
-        c.check(7)
-        assert c.stats.increments == 2
-        assert c.stats.immediate_checks == 2
-        assert c.stats.suspended_checks == 0
-        assert c.stats.checks == 2
+        c = CallCountingCounter()
+        with observe(trace=False) as h:
+            c.increment(5)
+            c.increment(2)
+            c.check(3)
+            c.check(7)
+        tallies = series_of(h, c)
+        assert tallies.increments == 2
+        assert (c.checks, c.increments) == (2, 2)
+        assert tallies.parks == 0  # both checks returned without suspending
 
     def test_suspended_check_and_node_tallies(self):
-        c = MonotonicCounter(stats=True)
-        threads = [spawn(lambda: c.check(5)) for _ in range(3)]
-        threads.append(spawn(lambda: c.check(9)))
-        wait_until(lambda: c.snapshot().total_waiters == 4)
-        c.increment(9)
-        join_all(threads)
-        assert c.stats.suspended_checks == 4
-        assert c.stats.nodes_created == 2       # two distinct levels
-        assert c.stats.nodes_released == 2
-        assert c.stats.threads_woken == 4
-        assert c.stats.max_live_levels == 2     # L, not W
-        assert c.stats.max_live_waiters == 4
+        c = MonotonicCounter()
+        with observe(trace=False) as h:
+            threads = [spawn(lambda: c.check(5)) for _ in range(3)]
+            threads.append(spawn(lambda: c.check(9)))
+            wait_until(lambda: c.snapshot().total_waiters == 4)
+            assert c.snapshot().waiting_levels == (5, 9)  # two distinct levels
+            c.increment(9)
+            join_all(threads)
+        tallies = series_of(h, c)
+        assert tallies.parks == 4
+        assert tallies.releases == 2
+        assert tallies.unparks == 4
+        assert tallies.live_levels_hw == 2     # L, not W
+        assert tallies.live_waiters_hw == 4
 
     def test_timeout_tally(self):
         from repro.core import CheckTimeout
 
-        c = MonotonicCounter(stats=True)
-        with pytest.raises(CheckTimeout):
-            c.check(1, timeout=0.01)
-        assert c.stats.timeouts == 1
+        c = MonotonicCounter()
+        with observe(trace=False) as h:
+            with pytest.raises(CheckTimeout):
+                c.check(1, timeout=0.01)
+        assert series_of(h, c).timeouts == 1
+        assert series_of(h, c).unparks == 0
 
     def test_stats_snapshot_is_detached(self):
-        c = MonotonicCounter(stats=True)
-        c.increment(1)
-        frozen = c.stats.snapshot()
-        c.increment(1)
-        assert frozen.increments == 1
-        assert c.stats.increments == 2
+        c = MonotonicCounter()
+        with observe(trace=False) as h:
+            c.increment(1)
+            frozen = series_of(h, c).snapshot()
+            c.increment(1)
+        assert frozen["increments"] == 1
+        assert series_of(h, c).increments == 2
 
     def test_note_levels_keeps_high_water(self):
-        stats = CounterStats()
-        stats.note_levels(3, 10)
-        stats.note_levels(2, 20)
-        stats.note_levels(5, 5)
-        assert stats.max_live_levels == 5
-        assert stats.max_live_waiters == 20
+        tallies = CounterMetrics()
+        tallies.note_levels(3, 10)
+        tallies.note_levels(2, 20)
+        tallies.note_levels(5, 5)
+        assert tallies.live_levels_hw == 5
+        assert tallies.live_waiters_hw == 20
+
+    def test_tallies_stay_exact_under_contention(self):
+        """Parks, releases and wakeups stay exact when many threads park
+        and wake at once; one coalesced release frees all four levels."""
+        counter = MonotonicCounter()
+        with observe(trace=False) as h:
+            waiters = [spawn(counter.check, (w % 4) + 1) for w in range(12)]
+            wait_until(lambda: counter.snapshot().total_waiters == 12)
+            assert len(counter.snapshot().nodes) == 4
+            counter.increment(4)
+            join_all(waiters)
+        tallies = series_of(h, counter)
+        assert tallies.parks == 12
+        assert tallies.unparks == 12
+        assert tallies.releases == 4
+        assert tallies.timeouts == 0
+        assert tallies.live_waiters_hw == 12
+        assert tallies.live_levels_hw == 4
 
 
 class TestSnapshot:

@@ -97,9 +97,9 @@ class TestMonotonicNodeSharing:
     """White-box checks of how subscriptions ride the §7 wait nodes."""
 
     def test_subscription_only_node_is_reclaimed_on_cancel(self):
-        counter = MonotonicCounter(stats=True)
+        counter = MonotonicCounter()
         subscription = counter.subscribe(4, lambda: None)
-        assert counter.stats.nodes_created == 1
+        assert counter.snapshot().waiting_levels == (4,)
         assert len(counter._waiters) == 1
         subscription.cancel()
         assert len(counter._waiters) == 0

@@ -37,15 +37,17 @@ from __future__ import annotations
 import random
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core import CheckTimeout, MonotonicCounter
 from repro.core import counter as counter_mod
 from repro.core.engine import WheelEntry
+from repro.obs import observe
 from repro.simthread import SimCounter
 from repro.verify import ExplorerProgram, explore
-from tests.helpers import join_all, registered_handles, spawn, wait_until
+from tests.helpers import join_all, registered_handles, series_of, spawn, wait_until
 
 
 class ScriptedParkCounter(MonotonicCounter):
@@ -61,7 +63,7 @@ class ScriptedParkCounter(MonotonicCounter):
     """
 
     def __init__(self, on_park=None, on_verdict=None, **kwargs):
-        super().__init__(stats=True, **kwargs)
+        super().__init__(**kwargs)
         self._on_park = on_park
         self._on_verdict = on_verdict
 
@@ -93,10 +95,11 @@ class TestScriptedInterleavings:
         window.  The release pass meanwhile loses the claim and must
         no-op (nobody double-sets the slot)."""
         counter = ScriptedParkCounter(on_verdict=lambda level: counter.increment(1))
-        counter.check(1, timeout=0.005)  # must NOT raise
+        with observe(trace=False) as h:
+            counter.check(1, timeout=0.005)  # must NOT raise
         assert counter.value == 1
-        assert counter.stats.suspended_checks == 1
-        assert counter.stats.timeouts == 0
+        assert series_of(h, counter).parks == 1
+        assert series_of(h, counter).timeouts == 0
         _quiescent(counter)
 
     def test_release_lands_before_the_park_consumes_the_pending_set(self):
@@ -105,9 +108,10 @@ class TestScriptedInterleavings:
         Semaphore semantics must bank it: the park consumes the pending
         set and returns success immediately."""
         counter = ScriptedParkCounter(on_park=lambda level: counter.increment(1))
-        counter.check(1, timeout=10.0)  # must NOT raise, and not wait 10s
+        with observe(trace=False) as h:
+            counter.check(1, timeout=10.0)  # must NOT raise, and not wait 10s
         assert counter.value == 1
-        assert counter.stats.timeouts == 0
+        assert series_of(h, counter).timeouts == 0
         _quiescent(counter)
 
     def test_release_beats_the_instant_probe_claim(self):
@@ -118,18 +122,20 @@ class TestScriptedInterleavings:
         must consume it (keeping the slot armed for the thread's next
         park) and report success."""
         counter = ScriptedParkCounter(on_park=lambda level: counter.increment(1))
-        counter.check(1, timeout=0)  # must NOT raise
+        with observe(trace=False) as h:
+            counter.check(1, timeout=0)  # must NOT raise
         assert counter.value == 1
-        assert counter.stats.timeouts == 0
+        assert series_of(h, counter).timeouts == 0
         _quiescent(counter)
 
     def test_genuine_timeout_deregisters_cleanly(self):
         """Order C: no increment anywhere.  The timeout must be reported,
         the node reclaimed, and the counter left fully usable."""
         counter = ScriptedParkCounter()
-        with pytest.raises(CheckTimeout):
-            counter.check(3, timeout=0.005)
-        assert counter.stats.timeouts == 1
+        with observe(trace=False) as h:
+            with pytest.raises(CheckTimeout):
+                counter.check(3, timeout=0.005)
+        assert series_of(h, counter).timeouts == 1
         _quiescent(counter)
         # The counter is not poisoned: normal operation still works.
         counter.increment(3)
@@ -150,17 +156,19 @@ class TestScriptedInterleavings:
 
         counter = ScriptedParkCounter(on_verdict=on_verdict)
         outcomes = []
-        a = spawn(lambda: (counter.check(1, timeout=10), outcomes.append("a")))
-        b = spawn(lambda: (counter.check(2, timeout=0.005), outcomes.append("b")))
-        assert verdict_reached.wait(10)
-        wait_until(lambda: 1 in counter.snapshot().waiting_levels)
-        counter.increment(2)  # one coalesced release pass for both nodes
-        go.set()
-        join_all([a, b])
+        with observe(trace=False) as h:
+            a = spawn(lambda: (counter.check(1, timeout=10), outcomes.append("a")))
+            b = spawn(lambda: (counter.check(2, timeout=0.005), outcomes.append("b")))
+            assert verdict_reached.wait(10)
+            wait_until(lambda: 1 in counter.snapshot().waiting_levels)
+            counter.increment(2)  # one coalesced release pass for both nodes
+            go.set()
+            join_all([a, b])
         assert sorted(outcomes) == ["a", "b"]
-        assert counter.stats.nodes_released == 2
-        assert counter.stats.threads_woken == 2
-        assert counter.stats.timeouts == 0
+        tallies = series_of(h, counter)
+        assert tallies.releases == 2
+        assert tallies.unparks == 2
+        assert tallies.timeouts == 0
         _quiescent(counter)
 
 
@@ -175,33 +183,36 @@ class TestWheelEscalation:
         self, monkeypatch
     ):
         monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
-        counter = MonotonicCounter(stats=True)
+        counter = MonotonicCounter()
         done = []
-        worker = spawn(lambda: (counter.check(1, timeout=30.0), done.append(True)))
-        # The handle swap under the counter lock is the observable
-        # escalation: the registered ParkingSlot becomes a WheelEntry.
-        wait_until(
-            lambda: any(
-                type(h) is WheelEntry for h in registered_handles(counter)
+        with observe(trace=False) as h:
+            worker = spawn(lambda: (counter.check(1, timeout=30.0), done.append(True)))
+            # The handle swap under the counter lock is the observable
+            # escalation: the registered ParkingSlot becomes a WheelEntry.
+            wait_until(
+                lambda: any(
+                    type(handle) is WheelEntry
+                    for handle in registered_handles(counter)
+                )
             )
-        )
-        counter.increment(1)
-        join_all([worker])
+            counter.increment(1)
+            join_all([worker])
         assert done == [True]
-        assert counter.stats.timeouts == 0
-        assert counter.stats.threads_woken == 1
+        assert series_of(h, counter).timeouts == 0
+        assert series_of(h, counter).unparks == 1
         _quiescent(counter)
 
     def test_lingering_wait_escalates_then_times_out(self, monkeypatch):
         monkeypatch.setattr(counter_mod, "_TIMER_GRACE", 0.001)
-        counter = MonotonicCounter(stats=True)
+        counter = MonotonicCounter()
         start = time.monotonic()
-        with pytest.raises(CheckTimeout):
-            counter.check(1, timeout=0.01)
+        with observe(trace=False) as h:
+            with pytest.raises(CheckTimeout):
+                counter.check(1, timeout=0.01)
         # Escalation re-anchors the deadline at grace expiry, so the
         # timeout may land late but never early.
         assert time.monotonic() - start >= 0.009
-        assert counter.stats.timeouts == 1
+        assert series_of(h, counter).timeouts == 1
         _quiescent(counter)
         counter.increment(1)
         counter.check(1, timeout=0)
@@ -251,7 +262,7 @@ class TestIncrementPreemptedMidCriticalSection:
     """
 
     def test_release_is_unobservable_until_the_critical_section_ends(self):
-        counter = MonotonicCounter(stats=True)
+        counter = MonotonicCounter()
         outcomes = []
         waiter = spawn(lambda: (counter.check(1, timeout=30), outcomes.append("ok")))
         wait_until(lambda: counter.snapshot().waiting_levels == (1,))
@@ -272,7 +283,6 @@ class TestIncrementPreemptedMidCriticalSection:
         trap.proceed.set()
         join_all([waiter, incrementer])
         assert outcomes == ["ok"]
-        assert counter.stats.timeouts == 0
         _quiescent(counter)
 
 
@@ -283,9 +293,12 @@ class TestTimeoutHammer:
     def test_no_lost_wakeups_and_no_leaks(self, strategy):
         rng = random.Random(0xC0FFEE)
         rounds, waiters = 25, 8
-        for _ in range(rounds):
-            counter = MonotonicCounter(strategy=strategy, stats=True)
+        for round_no in range(rounds):
+            counter = MonotonicCounter(strategy=strategy)
             outcomes = [None] * waiters
+            # Odd rounds run with the obs tallies on (and check them),
+            # even rounds on the uninstrumented production path.
+            observed = round_no % 2 == 1
 
             def wait(w):
                 # Even waiters have a generous budget and MUST succeed;
@@ -297,15 +310,17 @@ class TestTimeoutHammer:
                 except CheckTimeout:
                     outcomes[w] = "timeout"
 
-            threads = [spawn(wait, w) for w in range(waiters)]
-            incrementers = [spawn(counter.increment, 2) for _ in range(2)]
-            join_all(threads + incrementers)
+            with observe(trace=False) if observed else nullcontext() as h:
+                threads = [spawn(wait, w) for w in range(waiters)]
+                incrementers = [spawn(counter.increment, 2) for _ in range(2)]
+                join_all(threads + incrementers)
 
             assert counter.value == 4
             for w in range(0, waiters, 2):
                 assert outcomes[w] == "ok", f"lost wakeup for waiter {w}: {outcomes}"
             assert all(outcome in ("ok", "timeout") for outcome in outcomes)
-            assert counter.stats.timeouts == outcomes.count("timeout")
+            if observed:
+                assert series_of(h, counter).timeouts == outcomes.count("timeout")
             # Quiescence: every node reclaimed, nothing stuck draining.
             assert counter.snapshot().waiting_levels == ()
             assert not counter._draining

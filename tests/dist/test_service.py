@@ -125,6 +125,21 @@ class TestServiceBasics:
     def test_mis_shaped_inc_gets_error_not_disconnect(self, bad):
         run(self.error_then_serves(bad))
 
+    def test_rejected_request_fails_instead_of_hanging(self):
+        """The error reply echoes the request's ``id``, so the client's
+        pending request resolves with the service's message."""
+        async def scenario():
+            async with CounterService() as service:
+                client = await AsyncCounterClient.connect(*service.address)
+                try:
+                    with pytest.raises(RuntimeError, match="unknown op 'bogus'"):
+                        await asyncio.wait_for(client._request({"op": "bogus"}), 2)
+                    assert await client.value("x") == 0  # still serving
+                finally:
+                    await client.close()
+
+        run(scenario())
+
 
 class TestIncFrame:
     """One ``inc`` frame carries any number of floors, on the raw wire."""

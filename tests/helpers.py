@@ -1,10 +1,14 @@
-"""Shared helpers for the test suite: thread orchestration and polling."""
+"""Shared helpers for the test suite: thread orchestration, polling, and
+a call-counting counter."""
 
 from __future__ import annotations
 
 import threading
 import time
 from typing import Any, Callable, Sequence
+
+from repro.core import MonotonicCounter
+from repro.obs.registry import label
 
 #: Generous default so a wedged synchronization bug fails the test instead
 #: of hanging the suite.
@@ -46,3 +50,35 @@ def registered_handles(counter) -> list:
         handles.extend(node.waiters)
         node = node.next
     return handles
+
+
+def series_of(handle, counter):
+    """``counter``'s :mod:`repro.obs` metric series under ``handle``
+    (what ``with repro.obs.observe() as handle:`` returns)."""
+    return handle.metrics.series(label(counter))
+
+
+class CallCountingCounter(MonotonicCounter):
+    """A :class:`MonotonicCounter` that counts its ``check`` and
+    ``increment`` calls, for tests that inject their counter and assert
+    how many synchronization operations an algorithm issued.
+
+    The tallies are exact (bumped under their own lock); the operations
+    themselves run unchanged.
+    """
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._calls_lock = threading.Lock()
+        self.checks = 0
+        self.increments = 0
+
+    def check(self, level: int, timeout: float | None = None) -> None:
+        with self._calls_lock:
+            self.checks += 1
+        super().check(level, timeout)
+
+    def increment(self, amount: int = 1) -> int:
+        with self._calls_lock:
+            self.increments += 1
+        return super().increment(amount)

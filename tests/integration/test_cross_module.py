@@ -154,12 +154,13 @@ class TestEndToEndApplications:
         sim_result = sim_floyd_warshall(n, threads, "counter")
         sim_checks = sum(stats.sync_ops for stats in sim_result.tasks.values())
 
-        counter = MonotonicCounter(stats=True)
         from repro.apps.floyd_warshall import shortest_paths_counter
         from repro.apps.graphs import random_dense_graph
+        from tests.helpers import CallCountingCounter
 
+        counter = CallCountingCounter()
         shortest_paths_counter(random_dense_graph(n, seed=0), threads, counter=counter)
-        real_checks = counter.stats.checks + counter.stats.increments
+        real_checks = counter.checks + counter.increments
         # Same protocol: threads*n checks + (n-1) increments on each side.
         assert real_checks == threads * n + (n - 1)
         assert sim_checks == threads * n + (n - 1)

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from repro.core import CheckTimeout, MonotonicCounter
-from tests.helpers import join_all, spawn
+from repro.obs import observe
+from tests.helpers import join_all, series_of, spawn
 
 
 class TestHeavyContention:
@@ -89,11 +90,12 @@ class TestTimeoutStorms:
         assert all(node.level == 10_000 for node in snapshot.nodes) or not snapshot.nodes
 
     def test_timeout_churn_does_not_leak_nodes(self, paper_counter):
-        for _ in range(100):
-            with pytest.raises(CheckTimeout):
-                paper_counter.check(999, timeout=0)
+        with observe(trace=False) as h:
+            for _ in range(100):
+                with pytest.raises(CheckTimeout):
+                    paper_counter.check(999, timeout=0)
         assert paper_counter.snapshot().nodes == ()
-        assert paper_counter.stats.timeouts == 100
+        assert series_of(h, paper_counter).timeouts == 100
 
 
 class TestPhaseReuse:

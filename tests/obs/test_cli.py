@@ -35,8 +35,8 @@ class TestDumpCommand:
         names = {d["name"] for d in state["counters"]}
         assert "demo-fanin" in names
         fanin = next(d for d in state["counters"] if d["name"] == "demo-fanin")
-        assert fanin["stats"]["increments"] == 5
-        assert fanin["stats"]["timeouts"] == 1
+        assert fanin["value"] == 5
+        assert fanin["total_waiters"] == 0
 
     def test_cold_dump_is_empty_but_valid(self):
         proc = _run("dump")
@@ -54,9 +54,9 @@ class TestMetricsCommand:
         assert "# TYPE repro_counter_parks_total counter" in text
         assert 'counter="demo-fanin"' in text
         assert "repro_counter_wait_latency_seconds_bucket" in text
-        # The unified stats surface: demo-fanin carries stats=True.
-        assert ('repro_counter_stats_total{counter="demo-fanin",'
-                'tally="increments"} 5') in text
+        # The demo's tallies: five increments and one genuine timeout.
+        assert 'repro_counter_increments_total{counter="demo-fanin"} 5' in text
+        assert 'repro_counter_timeouts_total{counter="demo-fanin"} 1' in text
 
     def test_without_demo_or_enablement_fails_with_guidance(self):
         proc = _run("metrics")

@@ -212,18 +212,15 @@ class TestFleetMerge:
 
     def test_snapshots_merge_same_label_series_across_nodes(self):
         node_a = {"series": {"orders": {"increments": 3}},
-                  "stats": {"orders": {"checks": 2}},
                   "trace": {"emitted": 10, "dropped": 1},
                   "dropped_series": 1}
         node_b = {"series": {"orders": {"increments": 4},
                              "jobs": {"increments": 1}},
-                  "stats": {"orders": {"checks": 5}},
                   "trace": {"emitted": 7, "dropped": 0},
                   "dropped_series": 0}
         merged = fleet.merge_snapshots([node_a, None, node_b])
         assert merged["series"]["orders"]["increments"] == 7
         assert merged["series"]["jobs"]["increments"] == 1
-        assert merged["stats"]["orders"]["checks"] == 7
         assert merged["trace"]["emitted"] == 17
         assert merged["dropped_series"] == 1
 

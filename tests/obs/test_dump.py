@@ -64,13 +64,14 @@ class TestDumpCounter:
         after = dump_counter(counter)
         assert after["waiting"] == [] and after["total_waiters"] == 0
 
-    def test_stats_are_folded_in_when_enabled(self):
-        counter = MonotonicCounter(name="stats-dump", stats=True)
+    def test_dump_carries_no_tallies(self):
+        """A dump is the counter's state; its operation tallies live in
+        the obs metric series, not in the dump."""
+        counter = MonotonicCounter(name="stats-dump")
         counter.increment(2)
         doc = dump_counter(counter)
-        assert doc["stats"]["increments"] == 1
-        plain = dump_counter(MonotonicCounter(name="nostats-dump"))
-        assert "stats" not in plain
+        assert doc["value"] == 2
+        assert "stats" not in doc
 
     def test_capture_failure_is_reported_not_raised(self):
         class Broken:

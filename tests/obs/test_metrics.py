@@ -1,14 +1,13 @@
-"""Histograms, the metrics registry, and the unified stats export.
+"""Histograms, the metrics registry, and its one tally system.
 
 The histogram tests pin the bucket discipline (``buckets[i]`` counts
 observations ``<= bounds[i]``, +Inf overflow slot, cumulative-``le``
 computed only at export time); the registry tests pin label lifecycle
 (creation, overflow into the shared ``"(overflow)"`` series) and the two
 export surfaces (dict snapshot, Prometheus text).  The unification tests
-are the satellite contract: a live ``stats=True`` counter's
-:class:`~repro.core.stats.CounterStats` appears in both exports, a
-``stats=False`` counter contributes nothing, and ``NOOP_STATS`` stays a
-well-behaved null object.
+pin that the per-label series are the only tallies: a counter's
+operations appear in both exports under its label, and neither export
+carries a second (per-counter ``stats``) family.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 import repro.obs as obs
-from repro.core import NOOP_STATS, CheckTimeout, MonotonicCounter
+from repro.core import CheckTimeout, MonotonicCounter
 from repro.obs import CounterMetrics, Histogram, MetricsRegistry
 from repro.obs.metrics import LATENCY_BOUNDS
 from tests.helpers import join_all, spawn, wait_until
@@ -136,37 +135,32 @@ class TestPrometheusExport:
 class TestStatsUnification:
     def test_live_stats_counter_appears_in_both_exports(self):
         obs.enable(trace=False)
-        counter = MonotonicCounter(name="unified-stats", stats=True)
+        counter = MonotonicCounter(name="unified-stats")
         for _ in range(3):
             counter.increment(1)
         counter.check(2)
+        with pytest.raises(CheckTimeout):
+            counter.check(9, timeout=0)
 
         registry = obs.current().metrics
-        stats = registry.snapshot()["stats"]
-        assert stats["unified-stats"]["increments"] == 3
-        assert stats["unified-stats"]["checks"] == 1
+        series = registry.snapshot()["series"]["unified-stats"]
+        assert (series["increments"], series["parks"], series["timeouts"]) == (3, 1, 1)
 
         text = registry.prometheus()
-        assert '# TYPE repro_counter_stats_total counter' in text
-        assert ('repro_counter_stats_total{counter="unified-stats",'
-                'tally="increments"} 3') in text
+        assert 'repro_counter_increments_total{counter="unified-stats"} 3' in text
+        assert 'repro_counter_parks_total{counter="unified-stats"} 1' in text
+        assert 'repro_counter_timeouts_total{counter="unified-stats"} 1' in text
 
     def test_stats_false_counter_contributes_nothing(self):
+        """There is no per-counter ``stats`` option left to set, and no
+        second tally family in either export."""
+        with pytest.raises(TypeError):
+            MonotonicCounter(name="no-stats-here", stats=False)
         obs.enable(trace=False)
-        counter = MonotonicCounter(name="no-stats-here")  # stats=False
-        counter.increment(1)
+        MonotonicCounter(name="no-stats-here").increment(1)
         registry = obs.current().metrics
-        assert "no-stats-here" not in registry.snapshot()["stats"]
-        # The counter's own metric series exists (it incremented with obs
-        # on) but the unified stats section must not mention it.
-        assert ('repro_counter_stats_total{counter="no-stats-here"'
-                not in registry.prometheus())
-
-    def test_noop_stats_null_object(self):
-        assert NOOP_STATS.enabled is False
-        doc = NOOP_STATS.as_dict()
-        assert set(doc) == set(MonotonicCounter(stats=True).stats.as_dict())
-        assert all(value == 0 for value in doc.values())
+        assert set(registry.snapshot()) == {"series", "trace", "dropped_series"}
+        assert "repro_counter_stats" not in registry.prometheus()
 
 
 class TestEndToEndSeries:

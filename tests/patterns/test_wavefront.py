@@ -149,14 +149,14 @@ class TestSyncTile:
     def test_tiling_reduces_counter_traffic(self):
         """sync_tile=k must cut checks and increments by ~k: that is the
         batching the monotone levels make sound."""
-        from repro.core import MonotonicCounter
+        from tests.helpers import CallCountingCounter
 
         counts = {}
         for sync_tile in (1, 4):
             counters = []
 
             def factory(name, counters=counters):
-                counter = MonotonicCounter(name=name, stats=True)
+                counter = CallCountingCounter(name=name)
                 counters.append(counter)
                 return counter
 
@@ -169,7 +169,7 @@ class TestSyncTile:
                 sync_tile=sync_tile,
                 counter_factory=factory,
             )
-            counts[sync_tile] = sum(c.stats.increments for c in counters)
+            counts[sync_tile] = sum(c.increments for c in counters)
         assert counts[4] <= counts[1] / 2
 
     def test_validation(self):
