@@ -14,19 +14,14 @@
   for the benchmark harness.
 * :mod:`~repro.apps.ratelimit` — the counter-backed sliding-window
   quota service (the tail-latency attribution workload).
-"""
 
-from repro.apps import (  # noqa: F401 - re-exported submodules
-    accumulate,
-    floyd_warshall,
-    gauss_seidel,
-    graphs,
-    heat,
-    lcs,
-    paraffins,
-    ratelimit,
-    sim_models,
-)
+Each app is imported on use (``from repro.apps import heat``,
+``import repro.apps.floyd_warshall``); importing the package loads none
+of them.  The counter stack (:mod:`repro.core`), :mod:`repro.dist` and
+:mod:`~repro.apps.ratelimit` import no numpy, so a quota process or a
+``CounterService`` loads neither numpy nor the §4–5 apps and their
+simulation models (``tests/apps/test_imports.py``).
+"""
 
 __all__ = [
     "floyd_warshall",

@@ -55,14 +55,15 @@ from the touch through the decision and any park, and evicting a
 counter out from under a ``check`` would strand the thread forever.
 Locally, eviction keeps the key's in-window **residue**: the window is
 stored as it stands, ``(evicted_at, marks, admitted, retired)``, in a
-map that expires one window after the eviction.  Most evicted keys do
-not come back before it expires, so the roll and the rebase wait for
-the one that does: a key re-created within the window rolls the stored
-marks at ``evicted_at``, rebases them to ``retired``, and starts from
-that residue (``admitted`` raised to the residual count) — the same
-entry an eviction-time roll would have left.  So eviction never forgets an admit
-that is still in the window and never lets a key over-admit.  Service
-counters outlive their client-side entry and need no residue.
+map that drops it one window after the eviction (at the next store).
+Most evicted keys do not come back before then, so the roll and the
+rebase wait for the one that does: a key re-created within the window
+rolls the stored marks at ``evicted_at``, rebases them to ``retired``,
+and starts from that residue (``admitted`` raised to the residual
+count) — the same entry an eviction-time roll would have left.  So
+eviction never forgets an admit that is still in the window and never
+lets a key over-admit.  Service counters outlive their client-side
+entry and need no residue.
 """
 
 from __future__ import annotations
@@ -125,11 +126,9 @@ class LocalBackend:
     def retired(self, name: str):
         return MonotonicCounter(name=name)
 
-    def admitted_value(self, counter) -> int:
-        return counter.value
-
-    def retired_value(self, counter) -> int:
-        return counter.value
+    #: Both reads are the counter's lock-free ``value``: its getter
+    #: itself, so a read is one Python call, not a method and a property.
+    admitted_value = retired_value = staticmethod(MonotonicCounter.value.fget)
 
     def bump(self, counter, corr: str | None) -> None:
         counter.increment(1)
@@ -205,14 +204,18 @@ class _Entry:
         self.retired = retired
         self.lock = threading.Lock()
         #: (ts, admitted_value) samples, oldest first.  Bounded: rolls
-        #: prune everything older than the one mark still needed.
+        #: prune everything older than the one mark still needed.  A
+        #: new entry starts empty: its first decision always admits
+        #: (nothing is in its window yet), and that admit is its first
+        #: mark.
         self.marks: deque[tuple[float, int]] = deque()
         self.last_roll = now
         #: Threads holding a live reference (touch → decide → park).
         #: Non-zero means evict-unsafe: evicting would let the key be
         #: re-created with fresh counters while this entry still admits,
-        #: splitting the window estimate and over-admitting.
-        self.pins = 0
+        #: splitting the window estimate and over-admitting.  A new
+        #: entry is born pinned by the touch that creates it.
+        self.pins = 1
 
 
 class RateLimiter:
@@ -274,8 +277,8 @@ class RateLimiter:
 
     # -------------------------------------------------------------- entries
 
-    def _touch(self, key: str) -> _Entry:
-        """LRU-touch (creating if new, evicting if over budget).
+    def _touch(self, key: str, now: float) -> _Entry:
+        """LRU-touch at ``now`` (creating if new, evicting if over budget).
 
         The returned entry is **pinned**: the caller owes one
         ``entry.pins`` decrement (``_decide`` pays it on an admit and on
@@ -292,71 +295,73 @@ class RateLimiter:
                 with entry.lock:
                     entry.pins += 1
                 return entry
-            now = self._clock()
+            backend = self.backend
             entry = _Entry(
                 key,
-                self.backend.admitted(f"{self.name}:{key}:admitted"),
-                self.backend.retired(f"{self.name}:{key}:retired"),
+                backend.admitted(f"{self.name}:{key}:admitted"),
+                backend.retired(f"{self.name}:{key}:retired"),
                 now,
             )
-            residue = self._residue.pop(key, None)
-            marks = None if residue is None else self._rebase(residue, now)
-            if marks:
-                # Carry on from the evicted entry's window, as if it had
-                # never left: same in-window count, same marks to retire.
-                entry.last_roll = residue[0]  # evicted_at: its last roll
-                entry.admitted.increment(marks[-1][1])
-                entry.marks.extend(marks)
-            else:
-                entry.marks.append((now, 0))
-            entry.pins = 1  # not yet published: no lock needed
-            self._entries[key] = entry
-            excess = len(self._entries) - self.max_keys
+            residue = self._residue
+            stored = residue.pop(key, None)
+            if stored is not None:
+                marks = self._rebase(stored, now)
+                if marks:
+                    # Carry on from the evicted entry's window, as if it
+                    # had never left: same in-window count, same marks
+                    # to retire.
+                    entry.last_roll = stored[0]  # evicted_at: its last roll
+                    entry.admitted.increment(marks[-1][1])
+                    entry.marks.extend(marks)
+            entries = self._entries
+            entries[key] = entry  # published already pinned (_Entry)
+            excess = len(entries) - self.max_keys
+            if excess <= 0:
+                return entry
+            # Oldest-first sweep, skipping pinned entries: a pin is held
+            # from touch through the decision and any park, so it covers
+            # every thread deciding or parked on the entry.  The new
+            # entry, last in line, is pinned too.
             evicted = []
-            if excess > 0:
-                self._expire_residue(now)
-                # Oldest-first sweep, skipping pinned entries: a pin is
-                # held from touch through the decision and any park, so
-                # it covers every thread deciding or parked on the entry.
-                for old in self._entries.values():
-                    if len(evicted) == excess or old is entry:
-                        break
-                    with old.lock:
-                        if old.pins:
-                            continue
-                        if _sp.enabled:
-                            _sp.fire("ratelimit.evict", self)
-                        if self.backend.rolls:
-                            self._keep_residue(old, now)
-                    evicted.append(old)
-                for old in evicted:
-                    del self._entries[old.key]
-                self.evictions += len(evicted)
+            horizon = now - self.window_s
+            for old in entries.values():
+                with old.lock:
+                    if old.pins:
+                        continue
+                    if _sp.enabled:
+                        _sp.fire("ratelimit.evict", self)
+                    marks = old.marks
+                    if backend.rolls and marks[-1][0] > horizon:
+                        # Keep the window as it stands, as (evicted_at,
+                        # marks, admitted, retired).  On the quota_local
+                        # traffic shape three evicted keys in four never
+                        # come back before it expires, so the roll and
+                        # rebase wait for the one that does (_rebase).
+                        # The marks leave the dead entry: a roll() that
+                        # listed it before the eviction rolls an empty
+                        # ring, not this window.  The map only grows
+                        # here, so this is also where residue evicted a
+                        # window or more ago is dropped.
+                        while (residue and next(iter(residue.values()))[0]
+                               <= horizon):
+                            residue.popitem(last=False)
+                        old.marks = deque()
+                        residue[old.key] = (
+                            now, marks,
+                            backend.admitted_value(old.admitted),
+                            backend.retired_value(old.retired),
+                        )
+                evicted.append(old)
+                excess -= 1
+                if not excess:
+                    break
+            for old in evicted:
+                del entries[old.key]
+                self.evictions += 1
         for old in evicted:
-            self.backend.close(old.admitted)
-            self.backend.close(old.retired)
+            backend.close(old.admitted)
+            backend.close(old.retired)
         return entry
-
-    def _keep_residue(self, entry: _Entry, now: float) -> None:
-        """Store an evicting entry's window as it stands (its lock held).
-
-        Stores ``(evicted_at, marks, admitted, retired)``.  On the
-        ``quota_local`` traffic shape three evicted keys in four never
-        come back before the residue expires, so the roll and rebase
-        wait for the one that does (:meth:`_rebase`).  The marks
-        are detached from the dead entry: a :meth:`roll` that listed the
-        entry before the eviction rolls an empty ring, not the stored
-        window.
-        """
-        marks = entry.marks
-        if marks[-1][0] <= now - self.window_s:
-            return  # every admit has left the window
-        entry.marks = deque()
-        self._residue[entry.key] = (
-            now, marks,
-            self.backend.admitted_value(entry.admitted),
-            self.backend.retired_value(entry.retired),
-        )
 
     def _rebase(self, residue: tuple, now: float) -> list | None:
         """An evicted window as the key's next entry starts it.
@@ -375,13 +380,6 @@ class RateLimiter:
         if marks[-1][1] <= retired or marks[-1][0] <= now - self.window_s:
             return None
         return [(ts, value - retired) for ts, value in marks]
-
-    def _expire_residue(self, now: float) -> None:
-        """Drop residue evicted a window or more ago (limiter lock held)."""
-        residue = self._residue
-        horizon = now - self.window_s
-        while residue and next(iter(residue.values()))[0] <= horizon:
-            residue.popitem(last=False)
 
     def keys(self) -> list[str]:
         """Live keys, least-recently-used first."""
@@ -459,10 +457,10 @@ class RateLimiter:
     # ------------------------------------------------------------ admission
 
     def _decide(self, entry: _Entry, corr: str | None, now: float,
-                park: bool) -> tuple[bool, int]:
-        """One locked admit decision; returns (admitted?, retired level).
+                park: bool) -> int | None:
+        """One locked admit decision: ``None`` on an admit, else the
+        retired level a rejected caller should wait past.
 
-        The returned level is what a rejected caller should wait past:
         ``retired`` reaching ``level + 1`` means quota was freed after
         this decision was made.  The entry arrives pinned (``_touch``);
         an admit releases the pin here, and so does a reject when the
@@ -488,10 +486,10 @@ class RateLimiter:
                     # so the roll may retire it a window later.
                     entry.marks[-1] = (entry.marks[-1][0], admitted_v + 1)
                 entry.pins -= 1
-                return True, retired_v
+                return None
             if not park:
                 entry.pins -= 1
-            return False, retired_v
+            return retired_v
 
     def try_acquire(self, key: str, *, corr: str | None = None) -> bool:
         """One non-blocking admit decision for ``key``.
@@ -501,7 +499,8 @@ class RateLimiter:
         the only hooks are sync points, which cost one module-attr read
         each, identical to every other primitive in the repo.
         """
-        return self._decide(self._touch(key), corr, self._clock(), False)[0]
+        now = self._clock()
+        return self._decide(self._touch(key, now), corr, now, False) is None
 
     def acquire(self, key: str, timeout: float | None = None, *,
                 corr: str | None = None) -> bool:
@@ -512,12 +511,12 @@ class RateLimiter:
         re-contend.  Returns ``False`` on timeout (never raises
         :class:`CheckTimeout`).
         """
-        deadline = None if timeout is None else self._clock() + timeout
-        entry = self._touch(key)
+        now = self._clock()
+        deadline = None if timeout is None else now + timeout
+        entry = self._touch(key, now)
         while True:
-            now = self._clock()
-            ok, retired_v = self._decide(entry, corr, now, True)
-            if ok:
+            retired_v = self._decide(entry, corr, now, True)
+            if retired_v is None:
                 return True
             try:
                 remaining = None if deadline is None else deadline - now
@@ -530,7 +529,8 @@ class RateLimiter:
             finally:
                 with entry.lock:
                     entry.pins -= 1
-            entry = self._touch(key)  # re-touch: we are active again
+            now = self._clock()
+            entry = self._touch(key, now)  # re-touch: we are active again
 
     # ------------------------------------------------------------ inspection
 

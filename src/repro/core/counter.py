@@ -57,7 +57,7 @@ from repro.core.engine import (
     wheel as _shared_wheel,
 )
 from repro.obs import hooks as _obs
-from repro.obs import registry as _obs_registry
+from repro.obs.registry import register as _obs_register
 from repro.core.errors import CheckTimeout, CounterOverflowError, ResetConcurrencyError
 from repro.core.snapshot import CounterSnapshot, WaitNodeSnapshot
 from repro.core.validation import (
@@ -74,6 +74,9 @@ from repro.core.waitlist import HeapWaitList, LinkedWaitList, WaitList, WaitNode
 _WHEEL = _shared_wheel()
 _wheel_add = _WHEEL.add
 _wheel_cancel = _WHEEL.cancel
+#: Likewise the lock type: the rate limiter builds two counters per new
+#: key, each constructing its lock.
+_Lock = threading.Lock
 
 #: Staged parking: a timed ``check`` first parks on its raw slot for at
 #: most this many seconds (one C-level timed acquire — the same cost as
@@ -171,12 +174,15 @@ class MonotonicCounter(AbstractCounter):
 
     __slots__ = (
         "_lock",
-        "_lock_acquire",
-        "_lock_release",
         "_value",
+        # Waiter-only state, unset until the counter's first
+        # registration (a park or a subscribe) allocates all three
+        # (_alloc_waiters): a counter nobody waits on holds none of it.
         "_waiters",
         "_draining",
         "_drain_lock",
+        # Set only for the non-default "heap" strategy.
+        "_strategy",
         "_max_value",
         "_name",
         "_fast_path",
@@ -198,43 +204,29 @@ class MonotonicCounter(AbstractCounter):
         name: str | None = None,
         fast_path: bool = True,
     ) -> None:
-        self._lock = threading.Lock()
-        # Bound methods of the raw lock for the two hot critical
-        # sections (increment, parked check): a direct acquire/release
-        # pair costs about a quarter of a ``with`` block, and those two
-        # sections run once per operation.  Cold paths keep ``with
+        if strategy != "linked":
+            if strategy != "heap":
+                raise ValueError(f"unknown waitlist strategy: {strategy!r}")
+            self._strategy = strategy
+        # The two hot critical sections (increment, parked check) call
+        # the lock's acquire/release directly, which costs about a
+        # quarter of a ``with`` block; cold paths keep ``with
         # self._lock:`` for readability.
-        self._lock_acquire = self._lock.acquire
-        self._lock_release = self._lock.release
+        self._lock = _Lock()
         self._value = 0
-        # Nodes released by an increment whose waiters have not all resumed
-        # yet — the "set" nodes of Figure 2 (e)/(f).  Kept only so that
-        # snapshots can reproduce the figure; the last waiter out drops the
-        # node (the paper's deallocation point).  Guarded by _drain_lock,
-        # never the counter lock, so leaving waiters stay off the counter's
-        # critical path; increment inserts while holding counter lock ->
-        # _drain_lock (that nesting order, never the reverse).
-        self._draining: dict[int, WaitNode] = {}
-        self._drain_lock = threading.Lock()
-        if strategy == "linked":
-            self._waiters: WaitList = LinkedWaitList()
-        elif strategy == "heap":
-            self._waiters = HeapWaitList()
-        else:
-            raise ValueError(f"unknown waitlist strategy: {strategy!r}")
         # Same inline-accept trick as increment(): the rate limiter builds
-        # counters on every key eviction, and None is the common bound.
+        # counters on every new key, and None is the common bound.
         if max_value is not None:
             validate_max_value(max_value)
         self._max_value = max_value
         self._name = name
-        self._fast_path = bool(fast_path)
+        self._fast_path = fast_path
         # Live-level / live-waiter counts, maintained incrementally so the
         # suspend path's high-water bookkeeping is O(1) instead of the
         # former O(L) ``len(waiters)`` / ``sum(node.count ...)`` scans.
         self._live_levels = 0
         self._live_waiters = 0
-        _obs_registry.register(self)
+        _obs_register(self)
 
     # ------------------------------------------------------------------ API
 
@@ -268,15 +260,15 @@ class MonotonicCounter(AbstractCounter):
         if type(amount) is not int or amount < 0:
             amount = validate_amount(amount)
         released: list[WaitNode] | None = None
-        # Snapshot the two seam flags once: each read is a module-dict +
-        # attribute lookup, and this function consults them up to seven
-        # times.  Both flags only flip between operations (test setup,
-        # obs enable/disable), never meaningfully mid-call.
-        sp_on = _sp.enabled
-        obs_on = _obs.enabled
-        if sp_on:
+        # The seam flags are read once per path, not per use: each read
+        # is a module-dict + attribute lookup.  The release path keeps
+        # the sync-point flag in ``sp_on`` for its later fire points,
+        # and reads the obs flag once after the lock.  Both flags only
+        # flip between operations (test setup, obs enable/disable),
+        # never meaningfully mid-call.
+        if _sp.enabled:
             _sp.fire("increment.lock", self)
-        self._lock_acquire()
+        self._lock.acquire()
         try:
             new_value = self._value + amount
             if self._max_value is not None and new_value > self._max_value:
@@ -289,6 +281,7 @@ class MonotonicCounter(AbstractCounter):
             if amount and self._live_levels:
                 released = self._waiters.release_through(new_value)
                 if released:
+                    sp_on = _sp.enabled
                     if sp_on:
                         _sp.fire("increment.release", self)
                     draining = None
@@ -333,10 +326,11 @@ class MonotonicCounter(AbstractCounter):
                             for node in draining:
                                 self._draining[id(node)] = node
         finally:
-            self._lock_release()
+            self._lock.release()
         if released:
             if sp_on:
                 _sp.fire("increment.unlock", self)
+            obs_on = _obs.enabled
             obs_ctx = None
             if obs_on:
                 # Pre-signal half: one clock() read stamps every node's
@@ -357,7 +351,7 @@ class MonotonicCounter(AbstractCounter):
                 node.signal()
             if obs_ctx is not None:
                 _obs.on_increment_released(self, amount, new_value, obs_ctx)
-        elif obs_on:
+        elif _obs.enabled:
             _obs.on_increment(self, amount, new_value)
         return new_value
 
@@ -398,18 +392,22 @@ class MonotonicCounter(AbstractCounter):
             waiter = current_slot()
         if _sp.enabled:
             _sp.fire("check.lock", self)
-        self._lock_acquire()
+        self._lock.acquire()
         try:
             if self._value >= level:
                 return
-            node = self._waiters.find_or_insert(level)
+            try:
+                waiters = self._waiters
+            except AttributeError:  # the counter's first registration
+                waiters = self._alloc_waiters()
+            node = waiters.find_or_insert(level)
             if node.count == 0 and not node.subscribers:
                 self._live_levels += 1
             node.count += 1
             node.waiters.append(waiter)
             self._live_waiters += 1
         finally:
-            self._lock_release()
+            self._lock.release()
         # Counter lock dropped: park on the engine slot.  The release
         # that satisfies this level already holds the waiter handle (it
         # was handed the whole node under the counter lock), so neither
@@ -422,6 +420,31 @@ class MonotonicCounter(AbstractCounter):
             t_parked = _obs.on_park(self, level, self._value, self._live_levels,
                                     self._live_waiters, node.token)
         self._park(node, waiter, level, timeout, t_parked)
+
+    def _alloc_waiters(self) -> WaitList:
+        """Allocate the waiter-only state (counter lock held).
+
+        Runs once, at the counter's first registration (a missed
+        ``check`` or a ``subscribe``), so a counter nobody waits on
+        carries only its value, lock and name (§7: storage grows with
+        the distinct waiting levels).  ``_draining`` holds the nodes an
+        increment released whose waiters have not all resumed yet — the
+        "set" nodes of Figure 2 (e)/(f), kept so snapshots reproduce the
+        figure; the last waiter out drops its node (the paper's
+        deallocation point).  It is guarded by ``_drain_lock``, never
+        the counter lock, so leaving waiters stay off the counter's
+        critical path; increment inserts while holding counter lock ->
+        ``_drain_lock`` (that nesting order, never the reverse).  Both
+        are set before ``_waiters``, so a set ``_waiters`` implies them.
+        """
+        self._draining: dict[int, WaitNode] = {}
+        self._drain_lock = _Lock()
+        if getattr(self, "_strategy", "linked") == "heap":
+            waiters: WaitList = HeapWaitList()
+        else:
+            waiters = LinkedWaitList()
+        self._waiters = waiters
+        return waiters
 
     def _park(
         self,
@@ -482,7 +505,7 @@ class MonotonicCounter(AbstractCounter):
                 # case swapping the registered handle for a WheelEntry
                 # funnels both future wakers through the entry's claim.
                 entry = None
-                self._lock_acquire()
+                self._lock.acquire()
                 try:
                     if not node.released:
                         now = time.monotonic()
@@ -498,7 +521,7 @@ class MonotonicCounter(AbstractCounter):
                             handles = node.waiters
                             handles[handles.index(slot)] = entry
                 finally:
-                    self._lock_release()
+                    self._lock.release()
                 if entry is not None:
                     _wheel_add(entry)
                     slot.block()
@@ -637,7 +660,11 @@ class MonotonicCounter(AbstractCounter):
         with self._lock:
             if self._value >= level:
                 return None
-            node = self._waiters.find_or_insert(level)
+            try:
+                waiters = self._waiters
+            except AttributeError:  # the counter's first registration
+                waiters = self._alloc_waiters()
+            node = waiters.find_or_insert(level)
             if node.count == 0 and not node.subscribers:
                 self._live_levels += 1
             if node.subscribers is None:
@@ -654,6 +681,9 @@ class MonotonicCounter(AbstractCounter):
         detected and refused.
         """
         with self._lock:
+            if not hasattr(self, "_waiters"):  # never registered a waiter
+                self._value = 0
+                return
             with self._drain_lock:
                 draining = len(self._draining)
             if len(self._waiters) != 0 or draining:
@@ -674,6 +704,8 @@ class MonotonicCounter(AbstractCounter):
         list, which never overlaps them.
         """
         with self._lock:
+            if not hasattr(self, "_waiters"):  # never registered a waiter
+                return CounterSnapshot(value=self._value, nodes=())
             with self._drain_lock:
                 # Materialize the node list inside the drain lock (which
                 # orders us after any in-flight increment's insert), but
@@ -774,7 +806,7 @@ class BroadcastCounter(AbstractCounter):
         self._waiting = 0
         self._subs: dict[int, list[Callable[[], None]]] = {}
         self._fast_path = bool(fast_path)
-        _obs_registry.register(self)
+        _obs_register(self)
 
     @property
     def value(self) -> int:

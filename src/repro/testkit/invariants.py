@@ -44,10 +44,14 @@ def assert_counter_quiescent(counter, *, expect_value: int | None = None) -> Non
     with counter._lock:
         live_levels = counter._live_levels
         live_waiters = counter._live_waiters
-        waiting = len(counter._waiters)
-    with counter._drain_lock:
-        draining = dict(counter._draining)
-    assert waiting == 0, f"{waiting} level(s) still in the wait list: {counter._waiters!r}"
+        # Unset until the counter's first registration: never waited on.
+        waiters = getattr(counter, "_waiters", None)
+        waiting = 0 if waiters is None else len(waiters)
+    draining = {}
+    if waiters is not None:
+        with counter._drain_lock:
+            draining = dict(counter._draining)
+    assert waiting == 0, f"{waiting} level(s) still in the wait list: {waiters!r}"
     assert live_levels == 0, f"_live_levels == {live_levels} at quiescence"
     assert live_waiters == 0, f"_live_waiters == {live_waiters} at quiescence"
     assert not draining, (

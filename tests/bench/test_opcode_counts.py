@@ -29,10 +29,12 @@ import pytest
 from repro.apps.ratelimit import RateLimiter
 from repro.core import MonotonicCounter
 from repro.core import syncpoints as _sp
+from repro.core.engine import current_slot
 from repro.dist import ShmCounter
 from repro.dist.client import AsyncCounterClient
 from repro.obs import hooks as _obs
 from repro.obs import registry
+from tests.helpers import join_all, spawn, wait_until
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
@@ -102,11 +104,45 @@ def test_check_fast_path():
 
 def test_increment_without_waiters():
     counter = MonotonicCounter()
-    assert count_opcodes(counter.increment, 1) == 55
+    assert count_opcodes(counter.increment, 1) == 53
 
 
 def test_constructor():
-    assert count_opcodes(MonotonicCounter) == 108
+    # No waiter state: the wait list, the drain lock and dict come with
+    # the first park (next test).
+    assert count_opcodes(MonotonicCounter) == 55
+
+
+def _parked_check(counter: MonotonicCounter, level: int) -> int:
+    """Opcodes of one ``check(level)`` that parks, through its wake.
+
+    Counted in the checking thread (``sys.settrace`` is per thread),
+    whose parking slot exists beforehand.  The slot wait is one C call,
+    so the count is the same whether the test thread's release lands
+    before the wait or during it.
+    """
+    counts: list[int] = []
+
+    def checker() -> None:
+        current_slot()
+        counts.append(count_opcodes(counter.check, level))
+
+    thread = spawn(checker)
+    wait_until(lambda: counter.snapshot().total_waiters == 1)
+    counter.increment(1)
+    join_all([thread])
+    return counts[0]
+
+
+@pytest.mark.parametrize("strategy", ["linked", "heap"])
+def test_first_park_allocates_the_waiter_state(strategy):
+    counter = MonotonicCounter(strategy=strategy)
+    first = _parked_check(counter, 1)
+    second = _parked_check(counter, 2)
+    # Every later park costs the second figure: the difference is the
+    # one-time allocation.
+    assert (first, second) == {"linked": (287, 240),
+                               "heap": (274, 229)}[strategy]
 
 
 # The two hot paths of the ``dist_obs_disabled`` timing gate.  The shm
@@ -161,8 +197,8 @@ def test_try_acquire_on_a_seeded_replay():
     counts = _replay_counts(seed=5)
     hits, evicts = counts["hit"], counts["evict"]
     # (calls, total opcodes) of each kind over the measured calls.
-    assert (len(hits), sum(hits)) == (321, 68912)
-    assert (len(evicts), sum(evicts)) == (79, 62601)
+    assert (len(hits), sum(hits)) == (321, 66539)
+    assert (len(evicts), sum(evicts)) == (79, 46908)
 
 
 def test_counts_repeat_exactly(fresh_registry):

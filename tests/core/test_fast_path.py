@@ -130,7 +130,8 @@ class TestIncrementFastPath:
                 c.increment(1)
         assert series_of(h, c).releases == 0
         assert c._live_levels == 0
-        assert c._draining == {}
+        # No waiter ever registered, so no waiter state was allocated.
+        assert not hasattr(c, "_waiters") and not hasattr(c, "_draining")
 
     def test_live_counts_track_suspend_release_cycles(self, strategy):
         c = MonotonicCounter(strategy=strategy)

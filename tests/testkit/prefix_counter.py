@@ -83,6 +83,7 @@ def drain_leak_model(timeout: float = 0.25):
     threads = {"w": waiter, "inc": (counter.increment, 1)}
 
     def leaked(controller) -> bool:
-        return len(counter._draining) == 1
+        # ``_draining`` is unset until the waiter's first registration.
+        return len(getattr(counter, "_draining", ())) == 1
 
     return counter, threads, leaked
