@@ -18,20 +18,4 @@ __all__ = [
     "measure",
     "SpreadResult",
     "spread_waiters",
-    "run_counter_ops",
-    "run_load_ops",
 ]
-
-
-def __getattr__(name):
-    # Lazy: an eager import here would make ``python -m repro.bench.counter_ops``
-    # warn about the module already being in sys.modules before runpy executes it.
-    if name == "run_counter_ops":
-        from repro.bench.counter_ops import run_counter_ops
-
-        return run_counter_ops
-    if name == "run_load_ops":
-        from repro.bench.load_ops import run_load_ops
-
-        return run_load_ops
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ module replaces all of them with two primitives:
     on the wakeup path at all.
 
 :class:`TimerWheel`
-    A hashed wheel of absolute deadlines shared by **every** timed wait
+    A min-heap of absolute deadlines shared by **every** timed wait
     in the process (``check(timeout=)``, ``MultiWait.wait_*``), swept by
     a single lazily-spawned daemon thread that parks on its own slot
     until the earliest deadline and exits after a short idle linger.
@@ -46,10 +46,11 @@ future completed via ``loop.call_soon_threadsafe`` (see
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import weakref
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from repro.core import syncpoints as _sp
@@ -65,6 +66,14 @@ __all__ = [
 
 _allocate_lock = threading.Lock
 _clock = time.monotonic
+
+#: The sweeper's ``_target`` while it is not asleep: no deadline is
+#: earlier, so no ``add`` sets its slot.
+_AWAKE = float("-inf")
+
+#: Disarmed heap items allowed beyond twice the armed ones before
+#: ``cancel`` rebuilds the heap.
+_GHOST_SLACK = 32
 
 
 class ParkingSlot:
@@ -187,14 +196,14 @@ class WheelEntry:
     orders the two, so the waiter always observes its verdict.
     """
 
-    __slots__ = ("slot", "deadline", "why", "_token", "_bucket")
+    __slots__ = ("slot", "deadline", "why", "_token", "_armed")
 
     def __init__(self, slot: ParkingSlot, deadline: float) -> None:
         self.slot = slot
         self.deadline = deadline
         self.why: str | None = None
         self._token = [None]
-        self._bucket: int | None = None
+        self._armed = False  # True while in a wheel and not yet cancelled or fired
 
     def claim(self, why: str) -> bool:
         """Try to become the entry's single waker; True on the win."""
@@ -248,119 +257,95 @@ class WheelEntry:
 
 
 class TimerWheel:
-    """Hashed timer wheel: every timed wait, one deadline structure.
+    """Every timed wait in the process, in one min-heap of deadlines.
 
-    Entries hash into ``buckets`` by deadline tick (``deadline // span``
-    modulo the bucket count), so ``add`` and ``cancel`` are O(1) under
-    the wheel lock and a sweep touches only the buckets whose tick range
-    has come due (far-future entries colliding into a swept bucket are
-    skipped by their per-entry deadline).  An auxiliary min-heap of raw
-    deadlines tells the sweeper how long to sleep; cancelled deadlines
-    are left in the heap and discarded lazily when they surface (a
-    phantom head costs one spurious sweep, never a missed one).
+    Items are ``(deadline, seq, entry)``: ``seq`` breaks deadline ties in
+    arrival order, so entries themselves are never compared.  ``add``
+    pushes one item under the wheel lock.  ``cancel`` only *disarms* the
+    entry (its ``_armed`` flag goes false) and leaves the item in place;
+    :meth:`_take_due` pops every head due by ``now`` and returns the
+    armed ones, dropping the disarmed ghosts it meets.  A ghost at the
+    head costs the sweeper at most one early wake, never a missed one.
+    Ghosts are bounded: once they outnumber twice the armed entries plus
+    ``_GHOST_SLACK``, ``cancel`` rebuilds the heap from the armed items,
+    so a steady add/cancel stream costs amortised O(log n) and the heap
+    never grows past a constant factor of what is armed.
 
     The sweeper is a single daemon thread, spawned on the first ``add``
     and re-spawned on demand after it exits: once the wheel has been
     empty for ``IDLE_LINGER`` seconds the thread returns rather than
     sleeping forever, so test processes do not accumulate parked
-    sweepers.  It parks on its own :class:`ParkingSlot`; ``add`` with an
-    earlier-than-known deadline sets that slot (idempotent-notify under
-    the wheel lock) so a long sleep is cut short.
+    sweepers.  It parks on its own :class:`ParkingSlot` and records the
+    time it sleeps toward in ``_target`` (``_AWAKE`` while it is not
+    asleep); an ``add`` whose deadline is earlier than that time sets
+    the slot (under the wheel lock) and resets the target, so a long
+    sleep is cut short exactly once and later deadlines cost no wake.
 
     ``fire_timeout`` on due entries runs *outside* the wheel lock — the
     sweeper must never hold the lock while delivering sets, or a burst
     of timeouts would convoy adds behind it.
     """
 
-    SPAN = 0.002
-    BUCKETS = 128
     IDLE_LINGER = 0.25
 
-    __slots__ = (
-        "_lock",
-        "_acquire",
-        "_release",
-        "_span",
-        "_inv_span",
-        "_buckets",
-        "_nbuckets",
-        "_count",
-        "_deadlines",
-        "_sweeper",
-        "_sleeping",
-        "_slot",
-        "_last_tick",
-    )
+    __slots__ = ("_lock", "_heap", "_seq", "_count", "_sweeper", "_target", "_slot")
 
-    def __init__(self, span: float = SPAN, buckets: int = BUCKETS) -> None:
-        if span <= 0.0:
-            raise ValueError(f"span must be positive, got {span!r}")
-        if not isinstance(buckets, int) or isinstance(buckets, bool) or buckets < 1:
-            raise ValueError(f"buckets must be a positive int, got {buckets!r}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # add/cancel run once per timed park each; calling the bound
-        # acquire/release directly costs about a quarter of a ``with``
-        # block on the raw lock, so the two hot entry points use these.
-        self._acquire = self._lock.acquire
-        self._release = self._lock.release
-        self._span = span
-        self._inv_span = 1.0 / span
-        self._buckets: list[set[WheelEntry]] = [set() for _ in range(buckets)]
-        self._nbuckets = buckets
+        self._heap: list[tuple[float, int, WheelEntry]] = []
+        self._seq = itertools.count().__next__
         self._count = 0
-        self._deadlines: list[float] = []
         self._sweeper: threading.Thread | None = None
-        self._sleeping = False
+        self._target = _AWAKE
         self._slot = ParkingSlot()
-        self._last_tick = int(_clock() / span)
 
     def add(self, entry: WheelEntry) -> None:
         """Arm ``entry``; wakes (or spawns) the sweeper as needed."""
         deadline = entry.deadline
-        index = int(deadline * self._inv_span) % self._nbuckets
-        entry._bucket = index
-        self._acquire()
+        entry._armed = True
+        self._lock.acquire()
         try:
-            self._buckets[index].add(entry)
+            heappush(self._heap, (deadline, self._seq(), entry))
             self._count += 1
-            heap = self._deadlines
-            heappush(heap, deadline)
             if self._sweeper is None:
                 sweeper = threading.Thread(
                     target=self._sweep, name="repro-timer-wheel", daemon=True
                 )
                 self._sweeper = sweeper
                 sweeper.start()
-            elif self._sleeping and deadline <= heap[0]:
-                # The sweeper may be sleeping toward a later deadline;
-                # cut the sleep short.  Set under the wheel lock so the
-                # sweeper's post-wait bookkeeping (which re-takes the
-                # lock) always finds the set already delivered.
-                self._sleeping = False
+            elif deadline < self._target:
+                # The sweeper sleeps toward a later time; cut the sleep
+                # short.  Set under the wheel lock so the sweeper's
+                # post-wait bookkeeping (which re-takes the lock) always
+                # finds the set already delivered.
+                self._target = _AWAKE
                 self._slot.set()
         finally:
-            self._release()
+            self._lock.release()
 
     def cancel(self, entry: WheelEntry) -> None:
-        """Disarm ``entry`` (release won); idempotent, O(1).
+        """Disarm ``entry`` (release won); idempotent.
 
-        The heap keeps the stale deadline — discarded lazily by the
-        sweeper — but the *entry* is gone: after ``cancel`` returns, no
-        sweep can ever observe it, so a satisfied wait leaves no armed
-        deadline behind.
+        The heap item stays behind as a ghost that the sweeper drops
+        when it surfaces (or a rebuild drops sooner), but after
+        ``cancel`` returns no sweep can fire the entry, so a satisfied
+        wait leaves no armed deadline behind.
         """
-        index = entry._bucket
-        if index is None:
+        if not entry._armed:
             return
-        entry._bucket = None
-        self._acquire()
+        self._lock.acquire()
         try:
-            bucket = self._buckets[index]
-            if entry in bucket:
-                bucket.discard(entry)
+            # Re-tested under the lock: the sweeper may have taken the
+            # entry as due since the unlocked read.
+            if entry._armed:
+                entry._armed = False
                 self._count -= 1
+                heap = self._heap
+                if len(heap) > 3 * self._count + _GHOST_SLACK:
+                    heap[:] = [item for item in heap if item[2]._armed]
+                    heapify(heap)
         finally:
-            self._release()
+            self._lock.release()
 
     def armed_count(self) -> int:
         """Entries currently armed (for tests and introspection)."""
@@ -370,7 +355,7 @@ class TimerWheel:
     def entries(self) -> Iterator[WheelEntry]:
         """Snapshot of the armed entries (introspection only)."""
         with self._lock:
-            snapshot = [entry for bucket in self._buckets for entry in bucket]
+            snapshot = [item[2] for item in self._heap if item[2]._armed]
         return iter(snapshot)
 
     @property
@@ -391,8 +376,6 @@ class TimerWheel:
         return {
             "armed": self.armed_count(),
             "sweeping": self.sweeping,
-            "span_s": self._span,
-            "buckets": self._nbuckets,
             "pending": [
                 {"deadline_in_s": round(entry.deadline - now, 6),
                  "why": entry.why}
@@ -402,60 +385,21 @@ class TimerWheel:
 
     # ----------------------------------------------------------- sweeper
 
-    def _take_due(self, now: float) -> list[WheelEntry] | None:
-        """Remove and return entries due at ``now`` (wheel lock held).
+    def _take_due(self, now: float) -> list[WheelEntry]:
+        """Pop and return the armed entries due at ``now`` (lock held).
 
-        Walks the tick range since the previous sweep — at most one full
-        lap — and pulls due entries from exactly those buckets.  Entries
-        sharing a bucket with a later tick (hash collisions) stay put.
+        The due set is a function of ``now`` and the heap alone — no
+        state carried between sweeps — so any clock may drive it.
         """
-        span = self._span
-        now_tick = int(now / span)
-        last_tick = self._last_tick
-        self._last_tick = now_tick
-        if not self._count:
-            return None
-        # Scan [last_tick, now_tick] inclusive: the current tick's bucket
-        # is re-scanned every sweep so a sub-span timeout (deadline in
-        # the tick it was added in) fires promptly instead of waiting a
-        # full wheel lap.  Per-entry deadline checks make re-scans safe.
-        ticks = now_tick - last_tick
-        nbuckets = self._nbuckets
-        if ticks + 1 >= nbuckets:
-            indices = range(nbuckets)
-        else:
-            indices = ((last_tick + i) % nbuckets for i in range(ticks + 1))
-        due: list[WheelEntry] | None = None
-        for index in indices:
-            bucket = self._buckets[index]
-            if not bucket:
-                continue
-            expired = [entry for entry in bucket if entry.deadline <= now]
-            if expired:
-                bucket.difference_update(expired)
-                self._count -= len(expired)
-                if due is None:
-                    due = expired
-                else:
-                    due.extend(expired)
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] <= now:
+            entry = heappop(heap)[2]
+            if entry._armed:
+                entry._armed = False
+                due.append(entry)
+        self._count -= len(due)
         return due
-
-    def _next_deadline(self, now: float) -> float | None:
-        """Earliest plausible deadline > now, or None when empty.
-
-        Pops heap heads that have already passed: after ``_take_due``
-        every live entry due by ``now`` is gone, so a stale head is a
-        cancelled or already-fired deadline.
-        """
-        heap = self._deadlines
-        while heap and heap[0] <= now:
-            heappop(heap)
-        if not self._count:
-            # All remaining heap entries are cancellation ghosts; drop
-            # them so an idle wheel holds no memory.
-            heap.clear()
-            return None
-        return heap[0] if heap else now + self._span
 
     def _sweep(self) -> None:
         lock, slot = self._lock, self._slot
@@ -464,11 +408,14 @@ class TimerWheel:
             with lock:
                 now = _clock()
                 due = self._take_due(now)
-                if due:
-                    timeout = None
-                else:
-                    next_deadline = self._next_deadline(now)
-                    if next_deadline is None:
+                if not due:
+                    if self._count:
+                        idle_deadline = None
+                        target = self._heap[0][0]
+                    else:
+                        # Only ghosts are left; drop them so an idle
+                        # wheel holds no memory.
+                        self._heap.clear()
                         if idle_deadline is None:
                             idle_deadline = now + self.IDLE_LINGER
                         elif now >= idle_deadline:
@@ -476,11 +423,8 @@ class TimerWheel:
                             # spawns a fresh sweeper.
                             self._sweeper = None
                             return
-                        timeout = idle_deadline - now
-                    else:
-                        idle_deadline = None
-                        timeout = max(next_deadline - now, 0.0)
-                    self._sleeping = True
+                        target = idle_deadline
+                    self._target = target
             if due:
                 idle_deadline = None
                 # Outside the wheel lock: each fire is a claim attempt
@@ -490,12 +434,12 @@ class TimerWheel:
                 for entry in due:
                     entry.fire_timeout()
                 continue
-            woke = slot.wait(timeout)
+            woke = slot.wait(target - now)
             with lock:
-                if self._sleeping:
-                    self._sleeping = False
+                if self._target != _AWAKE:
+                    self._target = _AWAKE
                 elif not woke:
-                    # An add() flipped the flag and delivered a set
+                    # An add() reset the target and delivered a set
                     # while our own timeout was landing; the set
                     # happened under the wheel lock, so it is already
                     # here — consume it to re-arm the slot.

@@ -161,6 +161,49 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spawn_server(cmd: str, out: Path, *extra: str):
+    """Start ``python -m repro.obs <cmd> --serve OUT/server.json`` and
+    wait up to 10 s for the child to write its portfile.
+
+    Returns ``(child, info)``; ``info`` is the portfile's JSON, or None
+    (after a message on stderr) when the child exited or never wrote it.
+    The child is returned either way: the caller terminates it.
+    """
+    import subprocess
+    import time
+
+    portfile = out / "server.json"
+    portfile.unlink(missing_ok=True)
+    child = subprocess.Popen([sys.executable, "-m", "repro.obs", cmd,
+                              "--serve", str(portfile), *extra])
+    deadline = time.monotonic() + 10.0
+    while not portfile.exists() or not portfile.read_text(encoding="utf-8"):
+        if child.poll() is not None or time.monotonic() > deadline:
+            print(f"{cmd}: server child did not come up", file=sys.stderr)
+            return child, None
+        time.sleep(0.02)
+    return child, json.loads(portfile.read_text(encoding="utf-8"))
+
+
+def _write_rings(out: Path, client_events, trace_reply: dict):
+    """Write the client ring and the server's fetched ring under ``out``,
+    merge them (clock-aligned), and write the merge beside them.
+
+    Returns ``(client_count, server_count, merged_events)``.
+    """
+    from repro.obs import collect
+
+    client_ring = out / "trace-client.jsonl"
+    server_ring = out / "trace-server.jsonl"
+    n_client = collect.write_jsonl(client_events, str(client_ring))
+    n_server = collect.write_jsonl(trace_reply["events"], str(server_ring),
+                                   pid=trace_reply["pid"])
+    merged = collect.merge(collect.load_jsonl(str(client_ring)),
+                           collect.load_jsonl(str(server_ring)))
+    collect.write_jsonl(merged, str(out / "trace-merged.jsonl"))
+    return n_client, n_server, merged
+
+
 def _serve_sample_dist(portfile: str) -> int:
     """The child half of ``sample-dist``: a traced service that raises
     its own counter past the parent's check level, then idles until
@@ -198,11 +241,8 @@ def _serve_sample_dist(portfile: str) -> int:
 
 def _cmd_sample_dist(args: argparse.Namespace) -> int:
     import socket
-    import subprocess
-    import time
 
     from repro.dist.client import open_threadside
-    from repro.obs import collect
     from repro.obs.causal import (
         CausalGraph, analyze, render_report, to_perfetto, validate_perfetto,
     )
@@ -215,20 +255,10 @@ def _cmd_sample_dist(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    portfile = out / "server.json"
-    portfile.unlink(missing_ok=True)
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro.obs", "sample-dist", "--serve", str(portfile)]
-    )
+    server, info = _spawn_server("sample-dist", out)
     try:
-        deadline = time.monotonic() + 10.0
-        while not portfile.exists() or not portfile.read_text(encoding="utf-8"):
-            if server.poll() is not None or time.monotonic() > deadline:
-                print("sample-dist: server child did not come up", file=sys.stderr)
-                return 1
-            time.sleep(0.02)
-        info = json.loads(portfile.read_text(encoding="utf-8"))
-
+        if info is None:
+            return 1
         handle = obs.enable()
         with open_threadside(info["host"], info["port"], source="sample-client") as ep:
             orders = ep.counter("orders")
@@ -249,14 +279,8 @@ def _cmd_sample_dist(args: argparse.Namespace) -> int:
         server.terminate()
         server.wait(timeout=10.0)
 
-    client_ring = out / "trace-client.jsonl"
-    server_ring = out / "trace-server.jsonl"
-    n_client = collect.write_jsonl(handle.trace.snapshot(), str(client_ring))
-    n_server = collect.write_jsonl(trace_reply["events"], str(server_ring),
-                                   pid=trace_reply["pid"])
-    merged = collect.merge(collect.load_jsonl(str(client_ring)),
-                           collect.load_jsonl(str(server_ring)))
-    collect.write_jsonl(merged, str(out / "trace-merged.jsonl"))
+    n_client, n_server, merged = _write_rings(out, handle.trace.snapshot(),
+                                              trace_reply)
     (out / "fleet.prom").write_text(
         scrape.split(b"\r\n\r\n", 1)[-1].decode("utf-8", "replace"),
         encoding="utf-8",
@@ -337,9 +361,6 @@ def _serve_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    import subprocess
-    import time
-
     from repro.apps.ratelimit import RateLimiter, ServiceBackend
     from repro.obs import collect
     from repro.obs.load import run_load
@@ -371,21 +392,13 @@ def _cmd_load(args: argparse.Namespace) -> int:
         if args.two_process:
             from repro.dist.client import open_threadside
 
-            portfile = out / "server.json"
-            portfile.unlink(missing_ok=True)
-            server = subprocess.Popen([
-                sys.executable, "-m", "repro.obs", "load",
-                "--serve", str(portfile), "--keys", str(args.keys),
+            server, info = _spawn_server(
+                "load", out, "--keys", str(args.keys),
                 "--limit", str(args.limit), "--window", str(args.window),
                 "--roll-interval", str(args.roll_interval),
-            ])
-            deadline = time.monotonic() + 10.0
-            while not portfile.exists() or not portfile.read_text(encoding="utf-8"):
-                if server.poll() is not None or time.monotonic() > deadline:
-                    print("load: server child did not come up", file=sys.stderr)
-                    return 1
-                time.sleep(0.02)
-            info = json.loads(portfile.read_text(encoding="utf-8"))
+            )
+            if info is None:
+                return 1
             endpoint = open_threadside(info["host"], info["port"],
                                        source="load-client")
             limiter = RateLimiter(
@@ -429,14 +442,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 "service_s": r.service_s,
             }, separators=(",", ":")) + "\n")
     if trace_reply is not None:
-        client_ring = out / "trace-client.jsonl"
-        server_ring = out / "trace-server.jsonl"
-        collect.write_jsonl(handle.trace.snapshot(), str(client_ring))
-        collect.write_jsonl(trace_reply["events"], str(server_ring),
-                            pid=trace_reply["pid"])
-        merged = collect.merge(collect.load_jsonl(str(client_ring)),
-                               collect.load_jsonl(str(server_ring)))
-        collect.write_jsonl(merged, str(out / "trace-merged.jsonl"))
+        _write_rings(out, handle.trace.snapshot(), trace_reply)
     else:
         collect.write_jsonl(handle.trace.snapshot(), str(out / "trace.jsonl"))
     meta = {

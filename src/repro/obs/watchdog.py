@@ -100,10 +100,6 @@ def capture_waiting(counter: object) -> tuple[int, list[tuple[int, int]]] | None
     return None
 
 
-#: Backwards-compatible private alias (pre-testkit-reuse name).
-_capture = capture_waiting
-
-
 class StallWatchdog:
     """Track continuously-waiting (counter, level) pairs; report stalls.
 
@@ -172,7 +168,7 @@ class StallWatchdog:
         reports: list[StallReport] = []
         seen: set[tuple[int, int]] = set()
         for counter in registry.live_counters():
-            captured = _capture(counter)
+            captured = capture_waiting(counter)
             if captured is None:
                 continue
             value, waiting = captured

@@ -23,13 +23,14 @@ import gc
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
 from repro.apps.ratelimit import RateLimiter
 from repro.core import MonotonicCounter
 from repro.core import syncpoints as _sp
-from repro.core.engine import current_slot
+from repro.core.engine import ParkingSlot, TimerWheel, WheelEntry, current_slot
 from repro.dist import ShmCounter
 from repro.dist.client import AsyncCounterClient
 from repro.obs import hooks as _obs
@@ -143,6 +144,22 @@ def test_first_park_allocates_the_waiter_state(strategy):
     # one-time allocation.
     assert (first, second) == {"linked": (287, 240),
                                "heap": (274, 229)}[strategy]
+
+
+def test_timer_add_and_cancel():
+    """A timed park that outlives its grace pays one ``add`` and, when
+    the release wins, one ``cancel``.  Pinned on a private wheel whose
+    sweeper already sleeps toward an earlier head, so the add wakes
+    nobody."""
+    wheel_ = TimerWheel()
+    now = time.monotonic()
+    head = WheelEntry(ParkingSlot(), now + 60.0)
+    wheel_.add(head)
+    wait_until(lambda: wheel_._target == head.deadline)
+    entry = WheelEntry(ParkingSlot(), now + 120.0)
+    assert count_opcodes(wheel_.add, entry) == 49
+    assert count_opcodes(wheel_.cancel, entry) == 46
+    wheel_.cancel(head)
 
 
 # The two hot paths of the ``dist_obs_disabled`` timing gate.  The shm

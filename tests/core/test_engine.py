@@ -18,11 +18,13 @@ live in ``test_timeout_races.py``; schedule-driven wheel races live in
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core import engine
 from repro.core.engine import ParkingSlot, TimerWheel, WheelEntry, current_slot, wheel
 from tests.helpers import join_all, spawn, wait_until
 
@@ -145,12 +147,11 @@ class TestTimerWheel:
         assert entry.why == "timeout"
         assert wheel_.armed_count() == 0
 
-    def test_sub_span_deadline_fires_promptly(self):
-        """A deadline inside the current tick must not wait a wheel lap."""
+    def test_sub_millisecond_deadline_fires_promptly(self):
         wheel_ = TimerWheel()
         slot = ParkingSlot()
         start = time.monotonic()
-        wheel_.add(WheelEntry(slot, start + wheel_.SPAN / 4))
+        wheel_.add(WheelEntry(slot, start + 0.0005))
         assert slot.wait(timeout=5.0) is True
         assert time.monotonic() - start < 1.0
 
@@ -211,11 +212,46 @@ class TestTimerWheel:
     def test_shared_wheel_accessor_is_a_singleton(self):
         assert wheel() is wheel()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimerWheel(span=0.0)
-        with pytest.raises(ValueError):
-            TimerWheel(buckets=0)
+    def test_later_add_does_not_wake_the_sweeper(self):
+        """Only a deadline earlier than the one the sweeper sleeps
+        toward sets its slot; a later one waits its turn in the heap."""
+        wheel_ = TimerWheel()
+        sets = []
+        real_set = wheel_._slot.set
+        wheel_._slot.set = lambda: (sets.append(1), real_set())
+        now = time.monotonic()
+        far = WheelEntry(ParkingSlot(), now + 30.0)
+        wheel_.add(far)
+        wait_until(lambda: wheel_._target == far.deadline, timeout=5.0)
+        later = WheelEntry(ParkingSlot(), now + 60.0)
+        wheel_.add(later)
+        assert sets == []
+        assert wheel_._target == far.deadline
+        earlier = WheelEntry(ParkingSlot(), now + 20.0)
+        wheel_.add(earlier)
+        assert sets == [1]
+        for entry in (far, later, earlier):
+            wheel_.cancel(entry)
+        assert wheel_.armed_count() == 0
+
+    def test_cancelled_ghosts_stay_bounded(self):
+        """Cancelled items linger in the heap only up to the rebuild
+        bound: twice the armed entries plus a constant."""
+        wheel_ = TimerWheel()
+        far = time.monotonic() + 3600.0
+        live = [WheelEntry(ParkingSlot(), far + i) for i in range(100)]
+        for entry in live:
+            wheel_.add(entry)
+        slot = ParkingSlot()
+        for i in range(10_000):
+            entry = WheelEntry(slot, far + 200.0 + i)
+            wheel_.add(entry)
+            wheel_.cancel(entry)
+        assert wheel_.armed_count() == 100
+        assert len(wheel_._heap) <= 3 * 100 + engine._GHOST_SLACK
+        for entry in live:
+            wheel_.cancel(entry)
+        assert wheel_.armed_count() == 0
 
 
 class TestSlotReuseHammer:
@@ -271,4 +307,48 @@ class TestSlotReuseHammer:
         assert len(outcomes) == rounds
         # Both wake paths should actually have been exercised.
         assert "release" in outcomes
+        assert wheel_.armed_count() == 0
+
+    def test_concurrent_add_cancel_and_sweeps_deliver_one_set_each(self):
+        """Threads arm far deadlines they release and cancel (ghosts pile
+        up past the rebuild bound) and near ones the sweeper fires, with
+        a short switch interval: every park round gets exactly one set
+        and the wheel ends with nothing armed."""
+        wheel_ = TimerWheel()
+        rounds, workers = 1000, 6
+        outcomes = []
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            slot = current_slot()
+            try:
+                for _ in range(rounds):
+                    release = rng.random() < 0.7
+                    if not release:
+                        delay = rng.random() * 0.002
+                    elif rng.random() < 0.5:
+                        delay = 1.0  # a ghost once cancelled
+                    else:
+                        delay = 0.0  # the sweeper pops it as the cancel runs
+                    entry = WheelEntry(slot, time.monotonic() + delay)
+                    wheel_.add(entry)
+                    if release:
+                        entry.release_wake()
+                    assert slot.wait(timeout=5.0) is True
+                    wheel_.cancel(entry)
+                    assert slot.armed
+                    outcomes.append(entry.why)
+            except BaseException as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            join_all([spawn(worker, seed) for seed in range(workers)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(outcomes) == rounds * workers
+        assert set(outcomes) == {"release", "timeout"}
         assert wheel_.armed_count() == 0

@@ -153,8 +153,6 @@ class TestEngineInternals:
     def test_engine_key_is_always_present(self):
         engine = dump_state()["engine"]
         wheel = engine["timer_wheel"]
-        assert wheel["buckets"] > 0
-        assert wheel["span_s"] > 0
         assert isinstance(wheel["armed"], int)
         assert isinstance(wheel["pending"], list)
         assert isinstance(engine["parking_slots"], int)
